@@ -1,8 +1,10 @@
 #include "core/parallel_ingest.h"
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <optional>
 #include <thread>
 
@@ -62,7 +64,7 @@ struct PendingDup {
   std::size_t entry = SIZE_MAX;
 };
 
-/// How long a stream end waits for another stream's in-flight claim before
+/// How long a feed waits for another stream's in-flight claim before
 /// declaring the process wedged. Claims publish microseconds after they
 /// are observed pending; this bound only trips on a genuine liveness bug.
 constexpr auto kPendingWaitLimit = std::chrono::seconds(120);
@@ -79,35 +81,89 @@ ParallelIngestor::ParallelIngestor(const ParallelIngestParams& params)
       index_(params.index_shards, params.index),
       store_(params.container_bytes, params.compress_containers) {}
 
-StreamIngestStats ParallelIngestor::ingest_stream(ByteView stream,
-                                                  Recipe* recipe) {
-  const obs::TraceSpan span("parallel_ingest.stream", "ingest");
-  const auto wall_start = std::chrono::steady_clock::now();
-  DiskSim sim(params_.disk);
+ParallelIngestor::Stream::Stream(ParallelIngestor& ingestor, Recipe* recipe)
+    : ingestor_(ingestor),
+      recipe_(recipe),
+      wall_start_(std::chrono::steady_clock::now()),
+      sim_(ingestor.params_.disk),
+      // With pipeline workers the stream gets its own SPSC pipeline (run()
+      // is single-caller, so pipelines cannot be shared across streams).
+      pipeline_(ingestor.params_.pipeline_workers >= 1
+                    ? std::make_unique<StreamPipeline>(
+                          *ingestor.chunker_, ingestor.params_.pipeline_workers,
+                          ingestor.params_.batch_chunks)
+                    : nullptr),
+      appender_(ingestor.store_.open_stream()) {
+  st_.stream = ingestor.next_stream_id_.fetch_add(1, std::memory_order_relaxed);
+  appender_.park();
+}
 
-  StreamIngestStats st;
-  st.stream = next_stream_id_.fetch_add(1, std::memory_order_relaxed);
-  st.logical_bytes = stream.size();
+void ParallelIngestor::Stream::feed(ByteView data) {
+  const obs::TraceSpan span("parallel_ingest.feed", "ingest");
+  DEFRAG_CHECK_MSG(!finished_, "feed() on a finished ingest stream");
+  if (data.empty()) return;
+  st_.logical_bytes += data.size();
+  // Chunking + fingerprinting CPU, charged like the serial engines.
+  sim_.compute(static_cast<double>(data.size()) / 1e6 /
+               ingestor_.params_.cpu_mb_per_s);
+  const std::uint32_t max_size = ingestor_.params_.chunker.max_size;
+  if (carry_.size() + data.size() <= max_size) {
+    // Defer: once the buffer exceeds max_size its first chunk is certain
+    // to complete, so each chunking pass consumes the whole previous carry
+    // and every byte is chunked at most twice, however small the feeds.
+    carry_.reserve(max_size);
+    carry_.insert(carry_.end(), data.begin(), data.end());
+    return;
+  }
+  appender_.resume();
+  if (carry_.empty()) {
+    // Nothing carried: chunk the caller's bytes in place, keep the tail.
+    const std::uint64_t used = ingest(data, /*final=*/false);
+    carry_.assign(data.begin() + static_cast<std::ptrdiff_t>(used), data.end());
+  } else {
+    carry_.reserve(carry_.size() + data.size());
+    carry_.insert(carry_.end(), data.begin(), data.end());
+    const std::uint64_t used = ingest(ByteView(carry_), /*final=*/false);
+    carry_.erase(carry_.begin(),
+                 carry_.begin() + static_cast<std::ptrdiff_t>(used));
+  }
+  appender_.park();
+}
 
-  // Chunk + fingerprint. With pipeline workers the stream gets its own SPSC
-  // pipeline (run() is single-caller, so pipelines cannot be shared across
-  // streams); otherwise it runs synchronously on this stream's thread.
+StreamIngestStats ParallelIngestor::Stream::finish() {
+  const obs::TraceSpan span("parallel_ingest.finish", "ingest");
+  DEFRAG_CHECK_MSG(!finished_, "finish() called twice");
+  appender_.resume();
+  ingest(ByteView(carry_), /*final=*/true);
+  carry_ = Bytes{};
+  appender_.close();
+  finished_ = true;
+  st_.io = sim_.stats();
+  st_.sim_seconds = sim_.elapsed_seconds();
+  st_.wall_seconds = seconds_since(wall_start_);
+  return st_;
+}
+
+std::uint64_t ParallelIngestor::Stream::ingest(ByteView buf, bool final) {
+  if (buf.empty()) return 0;
+  ShardedPagedIndex& index = ingestor_.index_;
   std::vector<StreamChunk> chunks;
-  if (params_.pipeline_workers >= 1) {
-    StreamPipeline pipeline(*chunker_, params_.pipeline_workers,
-                            params_.batch_chunks);
-    chunks = pipeline.run(stream);
+  if (pipeline_ != nullptr) {
+    chunks = pipeline_->run(buf);
+    if (!final) chunks.pop_back();
   } else {
     // Batched multi-buffer fingerprinting; boundaries first so the chunk
     // vector is stable while the batch holds output pointers into it.
     std::vector<ChunkRef> refs;
-    refs.reserve(stream.size() / params_.chunker.avg_size + 1);
-    chunker_->split_to(stream, [&](const ChunkRef& r) { refs.push_back(r); });
+    refs.reserve(buf.size() / ingestor_.params_.chunker.avg_size + 1);
+    ingestor_.chunker_->split_to(buf,
+                                 [&](const ChunkRef& r) { refs.push_back(r); });
+    if (!final) refs.pop_back();
     chunks.resize(refs.size());
     simd::FingerprintBatch batch;
     for (std::size_t i = 0; i < refs.size(); ++i) {
       chunks[i] = StreamChunk{Fingerprint{}, refs[i].offset, refs[i].size};
-      batch.add(stream.subspan(refs[i].offset, refs[i].size), &chunks[i].fp);
+      batch.add(buf.subspan(refs[i].offset, refs[i].size), &chunks[i].fp);
     }
     batch.flush();
     // Ingest threads run concurrently: shard + merge, same as the pipeline.
@@ -116,124 +172,125 @@ StreamIngestStats ParallelIngestor::ingest_stream(ByteView stream,
     for (const std::uint32_t s : batch.flush_sizes()) hist.observe(s);
     obs::MetricsRegistry::global().merge_from(shard);
   }
-  st.chunk_count = chunks.size();
-  // Chunking + fingerprinting CPU, charged like the serial engines.
-  sim.compute(static_cast<double>(stream.size()) / 1e6 / params_.cpu_mb_per_s);
+  st_.chunk_count += chunks.size();
 
   // Stream-ordered locations; pending duplicates get theirs at resolution.
   std::vector<RecipeEntry> entries;
-  if (recipe != nullptr) entries.resize(chunks.size());
+  if (recipe_ != nullptr) entries.resize(chunks.size());
   std::vector<PendingDup> pending;
 
-  ContainerStore::StreamAppender appender = store_.open_stream();
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     const StreamChunk& c = chunks[i];
-    const ByteView data = stream.subspan(c.stream_offset, c.size);
+    const ByteView data = buf.subspan(c.stream_offset, c.size);
     ChunkLocation loc;
     const ShardedPagedIndex::ClaimResult claim =
-        index_.lookup_or_claim(c.fp, sim);
+        index.lookup_or_claim(c.fp, sim_);
     switch (claim.state) {
       case ShardedPagedIndex::ClaimState::kClaimed: {
-        ClaimGuard guard(index_, c.fp);
-        loc = appender.append(c.fp, data, kInvalidSegment, sim);
-        index_.publish(c.fp, IndexValue{loc, kInvalidSegment}, sim);
+        ClaimGuard guard(index, c.fp);
+        loc = appender_.append(c.fp, data, kInvalidSegment, sim_);
+        index.publish(c.fp, IndexValue{loc, kInvalidSegment}, sim_);
         guard.dismiss();
-        ++st.unique_chunks;
-        st.unique_bytes += c.size;
+        ++st_.unique_chunks;
+        st_.unique_bytes += c.size;
         break;
       }
       case ShardedPagedIndex::ClaimState::kPending:
         // The claimant has not published yet; queue the fingerprint and
-        // resolve (and charge) its published-location lookup at stream end.
-        ++st.pending_dup_chunks;
+        // resolve (and charge) its published-location lookup below.
+        ++st_.pending_dup_chunks;
         pending.push_back(PendingDup{c.fp, c.stream_offset, c.size,
-                                     recipe != nullptr ? i : SIZE_MAX});
-        ++st.dup_chunks;
-        st.dup_bytes += c.size;
+                                     recipe_ != nullptr ? i : SIZE_MAX});
+        ++st_.dup_chunks;
+        st_.dup_bytes += c.size;
         break;
       case ShardedPagedIndex::ClaimState::kExisting:
         loc = claim.value.location;
-        ++st.dup_chunks;
-        st.dup_bytes += c.size;
+        ++st_.dup_chunks;
+        st_.dup_bytes += c.size;
         break;
     }
-    if (recipe != nullptr) entries[i] = RecipeEntry{c.fp, loc};
+    if (recipe_ != nullptr) entries[i] = RecipeEntry{c.fp, loc};
   }
 
-  // Resolve pending duplicates: wait for each claimant's publish (it lands
-  // chunk-by-chunk, not at the claimant's stream end) and pay the
-  // published-location lookup this stream skipped inline. If the claimant
-  // abandoned (unwound before publishing), contend for the re-issued
-  // claim and store the chunk from this stream's own data.
-  std::uint64_t charged = 0;
+  // Resolve pending duplicates while `buf` still holds their bytes: wait
+  // for each claimant's publish (it lands chunk-by-chunk, not at the
+  // claimant's stream end) and pay the published-location lookup this
+  // stream skipped inline. If the claimant abandoned (unwound before
+  // publishing), contend for the re-issued claim and store the chunk from
+  // this stream's own data.
   const auto wait_start = std::chrono::steady_clock::now();
   for (const PendingDup& p : pending) {
     std::optional<ChunkLocation> loc;
     while (!loc.has_value()) {
-      if (const std::optional<IndexValue> hit = index_.peek(p.fp)) {
-        index_.lookup(p.fp, sim);  // the charged lookup this dup skipped
-        ++charged;
+      if (const std::optional<IndexValue> hit = index.peek(p.fp)) {
+        index.lookup(p.fp, sim_);  // the charged lookup this dup skipped
+        ++charged_;
         loc = hit->location;
         break;
       }
-      if (!index_.claim_pending(p.fp)) {
+      if (!index.claim_pending(p.fp)) {
         // Claim abandoned (or published in between; the claim call below
         // re-tests). lookup_or_claim charges like the lookup either way.
         const ShardedPagedIndex::ClaimResult retry =
-            index_.lookup_or_claim(p.fp, sim);
-        ++charged;
+            index.lookup_or_claim(p.fp, sim_);
+        ++charged_;
         if (retry.state == ShardedPagedIndex::ClaimState::kExisting) {
           loc = retry.value.location;
           break;
         }
         if (retry.state == ShardedPagedIndex::ClaimState::kClaimed) {
-          ClaimGuard guard(index_, p.fp);
-          const ByteView data = stream.subspan(p.offset, p.size);
+          ClaimGuard guard(index, p.fp);
+          const ByteView data = buf.subspan(p.offset, p.size);
           const ChunkLocation stored =
-              appender.append(p.fp, data, kInvalidSegment, sim);
-          index_.publish(p.fp, IndexValue{stored, kInvalidSegment}, sim);
+              appender_.append(p.fp, data, kInvalidSegment, sim_);
+          index.publish(p.fp, IndexValue{stored, kInvalidSegment}, sim_);
           guard.dismiss();
           // This chunk is unique after all — the original claimant never
           // stored it.
-          ++st.unique_chunks;
-          st.unique_bytes += p.size;
-          --st.dup_chunks;
-          st.dup_bytes -= p.size;
-          --st.pending_dup_chunks;
-          --charged;  // that was an append, not a dup-location lookup
+          ++st_.unique_chunks;
+          st_.unique_bytes += p.size;
+          --st_.dup_chunks;
+          st_.dup_bytes -= p.size;
+          --st_.pending_dup_chunks;
+          --charged_;  // that was an append, not a dup-location lookup
           loc = stored;
           break;
         }
         // kPending again: another waiter re-claimed; keep waiting for its
         // publish (undo the speculative charge — the loop pays on success).
-        --charged;
+        --charged_;
       }
       DEFRAG_CHECK_MSG(
           std::chrono::steady_clock::now() - wait_start < kPendingWaitLimit,
           "pending duplicate's claimant neither published nor abandoned");
       std::this_thread::yield();
     }
-    if (recipe != nullptr && p.entry != SIZE_MAX) {
+    if (recipe_ != nullptr && p.entry != SIZE_MAX) {
       entries[p.entry].location = *loc;
     }
   }
-  appender.close();
-  DEFRAG_CHECK_MSG(charged == st.pending_dup_chunks,
+  DEFRAG_CHECK_MSG(charged_ == st_.pending_dup_chunks,
                    "charged published-location lookups != resolved "
                    "pending duplicates");
 
-  if (recipe != nullptr) {
+  if (recipe_ != nullptr) {
     for (const RecipeEntry& e : entries) {
       DEFRAG_CHECK_MSG(e.location.valid(),
                        "recipe entry without a resolved location");
-      recipe->add(e.fp, e.location);
+      recipe_->add(e.fp, e.location);
     }
   }
+  return chunks.empty() ? 0
+                        : chunks.back().stream_offset + chunks.back().size;
+}
 
-  st.io = sim.stats();
-  st.sim_seconds = sim.elapsed_seconds();
-  st.wall_seconds = seconds_since(wall_start);
-  return st;
+StreamIngestStats ParallelIngestor::ingest_stream(ByteView stream,
+                                                  Recipe* recipe) {
+  const obs::TraceSpan span("parallel_ingest.stream", "ingest");
+  Stream s(*this, recipe);
+  s.feed(stream);
+  return s.finish();
 }
 
 ParallelIngestResult ParallelIngestor::ingest(

@@ -14,35 +14,50 @@
 // one stream wins any fingerprint, so total unique bytes is deterministic
 // under any interleaving. A kPending duplicate cannot pay the published-
 // location lookup inline (the claimant has not published yet, and blocking
-// on it would serialize the streams), so its fingerprint is queued; at
-// stream end the stream waits for each queued claim's publish (claims are
-// published chunk-by-chunk, microseconds after they are observed pending)
-// and then pays the published-location lookup it skipped — so recipe-grade
-// location metadata is available for every duplicate and the charged
-// lookup count exactly equals the resolved-duplicate count (checked). If a
-// claimant unwinds without publishing, its claim is abandoned and exactly
-// one waiter re-claims and stores the chunk itself, so waiters never hang
-// on a dead claim.
+// on it would serialize the streams), so its fingerprint is queued; at the
+// end of each feed the stream waits for each queued claim's publish
+// (claims are published chunk-by-chunk, microseconds after they are
+// observed pending) and then pays the published-location lookup it
+// skipped — so recipe-grade location metadata is available for every
+// duplicate and the charged lookup count exactly equals the
+// resolved-duplicate count (checked). If a claimant unwinds without
+// publishing, its claim is abandoned and exactly one waiter re-claims and
+// stores the chunk itself, so waiters never hang on a dead claim.
 //
-// Two entry points:
-//  - ingest(streams): the one-shot batch API — spawns one thread per
-//    stream, joins them all, returns aggregate stats. Single caller at a
-//    time per ingestor.
-//  - ingest_stream(stream, recipe): the service API — safe to call from
-//    many threads concurrently (the defrag-serve session scheduler calls
-//    it directly from session threads, see src/service/). With a non-null
-//    `recipe` it records one entry per chunk in stream order with a
-//    published location for every duplicate, making the stream
+// One ingest core, three entry points:
+//  - Stream: the incremental form every other entry point runs through.
+//    Construct it at the start of a backup, feed() each piece of the byte
+//    stream as it arrives (a defrag-serve session feeds one BACKUP_DATA
+//    frame at a time), finish() at the end. feed() chunks the carried tail
+//    plus the new bytes and holds back the last chunk, which may still
+//    grow; every chunker restarts its state at each chunk start, so the
+//    boundaries are bit-identical to chunking the whole stream at once and
+//    the carry never exceeds max_size. Feeds that leave the buffer within
+//    max_size are only carried, so tiny feeds cost no rescans. Each feed()
+//    resolves its own pending duplicates before returning, while it still
+//    holds their bytes, so no claim outlives a call. Between calls the
+//    stream's open container is parked
+//    (ContainerStore::StreamAppender::park), so a reader never waits on
+//    the feeder's pace.
+//  - ingest_stream(stream, recipe): one Stream, one feed(), finish(). Safe
+//    to call from many threads concurrently, like Stream itself. With a
+//    non-null `recipe` it records one entry per chunk in stream order with
+//    a published location for every duplicate, making the stream
 //    restore-grade via dedup/restore_strategies.h.
+//  - ingest(streams): the one-shot batch API — runs ingest_stream() on one
+//    thread per stream, joins them all, returns aggregate stats. Single
+//    caller at a time per ingestor.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "chunking/chunker.h"
+#include "common/bytes.h"
 #include "common/fingerprint.h"
 #include "dedup/pipeline.h"
 #include "index/paged_index.h"
@@ -71,7 +86,7 @@ struct ParallelIngestParams {
   double cpu_mb_per_s = 220.0;
 };
 
-/// Per-stream outcome of one ingest() / ingest_stream() call.
+/// Per-stream outcome of one ingest() / ingest_stream() call or Stream.
 struct StreamIngestStats {
   std::size_t stream = 0;
   std::uint64_t logical_bytes = 0;
@@ -82,8 +97,8 @@ struct StreamIngestStats {
   std::uint64_t dup_bytes = 0;
   /// Duplicates resolved against another stream's in-flight claim
   /// (kPending) rather than a published entry. Their published-location
-  /// lookups are charged to this stream's sim at stream end, so `io` and
-  /// `sim_seconds` include them.
+  /// lookups are charged to this stream's sim at the end of each feed, so
+  /// `io` and `sim_seconds` include them.
   std::uint64_t pending_dup_chunks = 0;
   IoStats io;
   double sim_seconds = 0.0;
@@ -107,6 +122,50 @@ class ParallelIngestor {
  public:
   explicit ParallelIngestor(const ParallelIngestParams& params = {});
 
+  /// One backup stream ingested piece by piece (see file comment). Used
+  /// from one thread at a time; any number of Streams may run concurrently
+  /// on the same ingestor. Destroying an unfinished Stream seals its
+  /// containers and leaves no claim behind, so a failed backup commits
+  /// nothing and blocks no one.
+  class Stream {
+   public:
+    /// Open a stream into `ingestor`. When `recipe` is non-null every
+    /// feed() appends its chunks' entries (stream order, published
+    /// locations); `recipe` must outlive the stream.
+    explicit Stream(ParallelIngestor& ingestor, Recipe* recipe = nullptr);
+    Stream(const Stream&) = delete;
+    Stream& operator=(const Stream&) = delete;
+
+    /// Ingest the next `data` bytes of the stream.
+    void feed(ByteView data);
+
+    /// Ingest the held-back tail, seal the stream's containers and return
+    /// its stats. Call once; no feed() afterwards.
+    StreamIngestStats finish();
+
+    /// Capacity of the carry buffer, which only grows until finish(): at
+    /// most the largest feed() plus the chunker's max_size.
+    std::uint64_t buffer_high_water() const { return carry_.capacity(); }
+
+   private:
+    /// Chunk, fingerprint, claim and append `buf`; unless `final`, hold
+    /// back its last chunk. Returns the bytes consumed.
+    std::uint64_t ingest(ByteView buf, bool final);
+
+    ParallelIngestor& ingestor_;
+    Recipe* recipe_;
+    std::chrono::steady_clock::time_point wall_start_;
+    DiskSim sim_;
+    StreamIngestStats st_;
+    /// Published-location lookups charged for pending duplicates.
+    std::uint64_t charged_ = 0;
+    std::unique_ptr<StreamPipeline> pipeline_;
+    ContainerStore::StreamAppender appender_;
+    /// Bytes after the last consumed chunk boundary.
+    Bytes carry_;
+    bool finished_ = false;
+  };
+
   /// Ingest all streams concurrently (one thread per stream). Blocks until
   /// every stream finished; rethrows the first stream failure. One caller
   /// at a time per ingestor (it owns the worker pool for the call); use
@@ -116,10 +175,9 @@ class ParallelIngestor {
   ParallelIngestResult ingest(const std::vector<ByteView>& streams,
                               std::vector<Recipe>* recipes = nullptr);
 
-  /// Ingest one stream on the calling thread. Thread-safe: any number of
-  /// threads may run ingest_stream() concurrently on the same ingestor —
-  /// this is the long-running service entry point, where sessions arrive
-  /// at arbitrary times instead of in synchronized waves. When `recipe` is
+  /// Ingest one whole stream on the calling thread: a Stream fed once.
+  /// Thread-safe: any number of threads may run ingest_stream()
+  /// concurrently on the same ingestor. When `recipe` is
   /// non-null it receives one entry per chunk (stream order, published
   /// locations), so the caller can restore the stream bit-identically with
   /// restore_with_strategy(); the stream's own containers are sealed

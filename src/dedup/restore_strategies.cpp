@@ -30,7 +30,8 @@ namespace {
 
 RestoreResult restore_container_lru(const ContainerStore& store,
                                     const Recipe& recipe, DiskSim& sim,
-                                    const RestoreOptions& options, Bytes* out) {
+                                    const RestoreOptions& options,
+                                    const RestoreSink& sink) {
   RestoreResult res;
   LruCache<ContainerId, char> cache(
       std::max<std::size_t>(1, options.cache_containers));
@@ -40,10 +41,7 @@ RestoreResult restore_container_lru(const ContainerStore& store,
       cache.put(e.location.container, 0);
       ++res.container_loads;
     }
-    if (out) {
-      const ByteView bytes = store.peek(e.location.container).read(e.location);
-      out->insert(out->end(), bytes.begin(), bytes.end());
-    }
+    if (sink) sink(store.peek(e.location.container).read(e.location));
     res.logical_bytes += e.location.size;
   }
   res.cache_hit_rate = cache.hit_rate();
@@ -86,7 +84,8 @@ class ChunkLru {
 
 RestoreResult restore_chunk_lru(const ContainerStore& store,
                                 const Recipe& recipe, DiskSim& sim,
-                                const RestoreOptions& options, Bytes* out) {
+                                const RestoreOptions& options,
+                                const RestoreSink& sink) {
   RestoreResult res;
   // Chunk cache keyed by fingerprint, budgeted in bytes. Each miss is one
   // seek plus exactly the chunk's transfer — no prefetch amplification, but
@@ -105,10 +104,7 @@ RestoreResult restore_chunk_lru(const ContainerStore& store,
       ++res.container_loads;  // here: individual chunk reads
       cache.insert(e.fp, e.location.size);
     }
-    if (out) {
-      const ByteView bytes = store.peek(e.location.container).read(e.location);
-      out->insert(out->end(), bytes.begin(), bytes.end());
-    }
+    if (sink) sink(store.peek(e.location.container).read(e.location));
     res.logical_bytes += e.location.size;
   }
   res.cache_hit_rate =
@@ -121,7 +117,7 @@ RestoreResult restore_chunk_lru(const ContainerStore& store,
 RestoreResult restore_forward_assembly(const ContainerStore& store,
                                        const Recipe& recipe, DiskSim& sim,
                                        const RestoreOptions& options,
-                                       Bytes* out) {
+                                       const RestoreSink& sink) {
   RestoreResult res;
   const auto& entries = recipe.entries();
   std::size_t window_start = 0;
@@ -148,11 +144,10 @@ RestoreResult restore_forward_assembly(const ContainerStore& store,
       store.load(c, sim);
       ++res.container_loads;
     }
-    if (out) {
+    if (sink) {
       for (std::size_t i = window_start; i < window_end; ++i) {
         const auto& e = entries[i];
-        const ByteView b = store.peek(e.location.container).read(e.location);
-        out->insert(out->end(), b.begin(), b.end());
+        sink(store.peek(e.location.container).read(e.location));
       }
     }
     for (std::size_t i = window_start; i < window_end; ++i) {
@@ -174,18 +169,19 @@ RestoreResult restore_forward_assembly(const ContainerStore& store,
 RestoreResult restore_with_strategy(const ContainerStore& store,
                                     const Recipe& recipe,
                                     const DiskModel& disk,
-                                    const RestoreOptions& options, Bytes* out) {
+                                    const RestoreOptions& options,
+                                    const RestoreSink& sink) {
   DiskSim sim(disk);
   RestoreResult res;
   switch (options.strategy) {
     case RestoreStrategy::kContainerLru:
-      res = restore_container_lru(store, recipe, sim, options, out);
+      res = restore_container_lru(store, recipe, sim, options, sink);
       break;
     case RestoreStrategy::kChunkLru:
-      res = restore_chunk_lru(store, recipe, sim, options, out);
+      res = restore_chunk_lru(store, recipe, sim, options, sink);
       break;
     case RestoreStrategy::kForwardAssembly:
-      res = restore_forward_assembly(store, recipe, sim, options, out);
+      res = restore_forward_assembly(store, recipe, sim, options, sink);
       break;
   }
   DEFRAG_CHECK_MSG(res.logical_bytes == recipe.logical_bytes(),
@@ -193,6 +189,17 @@ RestoreResult restore_with_strategy(const ContainerStore& store,
   res.io = sim.stats();
   res.sim_seconds = sim.elapsed_seconds();
   return res;
+}
+
+RestoreResult restore_with_strategy(const ContainerStore& store,
+                                    const Recipe& recipe,
+                                    const DiskModel& disk,
+                                    const RestoreOptions& options, Bytes* out) {
+  RestoreSink append;
+  if (out != nullptr) {
+    append = [out](ByteView b) { out->insert(out->end(), b.begin(), b.end()); };
+  }
+  return restore_with_strategy(store, recipe, disk, options, append);
 }
 
 }  // namespace defrag

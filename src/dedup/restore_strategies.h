@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/bytes.h"
@@ -41,9 +42,22 @@ struct RestoreOptions {
   std::uint64_t assembly_bytes = 16ull << 20;
 };
 
+/// Receives the restored stream in recipe order, one chunk's bytes per
+/// call. The view is valid only for the duration of the call.
+using RestoreSink = std::function<void(ByteView)>;
+
 /// Restore `recipe` from `store` under the given strategy, charging I/O to a
-/// fresh DiskSim built from `disk`. When `out` is non-null the restored
-/// bytes are appended (callers verify integrity).
+/// fresh DiskSim built from `disk`. When `sink` is non-empty it receives the
+/// restored bytes as the walk produces them, so a caller can stream them out
+/// through a bounded buffer; an empty sink runs the I/O model only.
+RestoreResult restore_with_strategy(const ContainerStore& store,
+                                    const Recipe& recipe,
+                                    const DiskModel& disk,
+                                    const RestoreOptions& options,
+                                    const RestoreSink& sink);
+
+/// Sink form that appends the restored bytes to `out` when it is non-null
+/// (callers verify integrity).
 RestoreResult restore_with_strategy(const ContainerStore& store,
                                     const Recipe& recipe,
                                     const DiskModel& disk,

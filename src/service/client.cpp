@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -52,20 +53,42 @@ BackupDoneResponse Client::backup(const std::string& label, ByteView stream) {
   begin.label = label;
   conn_.send_frame(encode(begin));
   expect(FrameType::kOk);
-  for (std::uint64_t off = 0; off < stream.size(); off += kBackupDataChunk) {
-    const std::uint64_t n =
-        std::min<std::uint64_t>(kBackupDataChunk, stream.size() - off);
-    conn_.send_frame(encode_backup_data(stream.subspan(off, n)));
+  try {
+    for (std::uint64_t off = 0; off < stream.size();
+         off += kBackupDataChunk) {
+      const std::uint64_t n =
+          std::min<std::uint64_t>(kBackupDataChunk, stream.size() - off);
+      conn_.send_frame(encode_backup_data(stream.subspan(off, n)));
+    }
+    conn_.send_frame(encode_empty(FrameType::kBackupEnd));
+  } catch (const SocketError&) {
+    // The server ingests frames as they arrive, so a backup it fails
+    // mid-stream is answered with ERROR and a close while frames are still
+    // going out. Report the queued ERROR, not the broken pipe.
+    rethrow_queued_error();
+    throw;
   }
-  conn_.send_frame(encode_empty(FrameType::kBackupEnd));
   return parse_backup_done(expect(FrameType::kBackupDone));
 }
 
-Bytes Client::restore(std::uint32_t backup_id, RestoreDoneResponse* done) {
+void Client::rethrow_queued_error() {
+  std::optional<Bytes> payload;
+  try {
+    payload = conn_.recv_frame();
+  } catch (const SocketError&) {
+    return;  // nothing queued; the caller's own error stands
+  }
+  if (payload.has_value() && frame_type(*payload) == FrameType::kError) {
+    throw RemoteError(parse_reason(frame_body(*payload)));
+  }
+}
+
+RestoreDoneResponse Client::restore(
+    std::uint32_t backup_id, const std::function<void(ByteView)>& sink) {
   RestoreRequest req;
   req.backup_id = backup_id;
   conn_.send_frame(encode(req));
-  Bytes out;
+  std::uint64_t streamed = 0;
   for (;;) {
     const std::optional<Bytes> payload = conn_.recv_frame();
     if (!payload.has_value()) {
@@ -74,25 +97,34 @@ Bytes Client::restore(std::uint32_t backup_id, RestoreDoneResponse* done) {
     const FrameType type = frame_type(*payload);
     const ByteView body = frame_body(*payload);
     if (type == FrameType::kRestoreData) {
-      // Checked before the insert grows `out`: a hostile server must not
-      // be able to balloon client memory past the cap plus one frame.
-      if (body.size() > max_restore_bytes_ - out.size()) {
-        throw WireError("restore stream exceeds the restore-bytes cap");
-      }
-      out.insert(out.end(), body.begin(), body.end());
+      sink(body);
+      streamed += body.size();
       continue;
     }
     if (type == FrameType::kRestoreDone) {
       const RestoreDoneResponse resp = parse_restore_done(body);
-      if (resp.logical_bytes != out.size()) {
+      if (resp.logical_bytes != streamed) {
         throw WireError("RESTORE_DONE size disagrees with streamed data");
       }
-      if (done != nullptr) *done = resp;
-      return out;
+      return resp;
     }
     if (type == FrameType::kError) throw RemoteError(parse_reason(body));
     throw WireError("unexpected frame during restore: " + to_string(type));
   }
+}
+
+Bytes Client::restore(std::uint32_t backup_id, RestoreDoneResponse* done) {
+  Bytes out;
+  const RestoreDoneResponse resp = restore(backup_id, [&](ByteView body) {
+    // Checked before the insert grows `out`: a hostile server must not
+    // be able to balloon client memory past the cap plus one frame.
+    if (body.size() > max_restore_bytes_ - out.size()) {
+      throw WireError("restore stream exceeds the restore-bytes cap");
+    }
+    out.insert(out.end(), body.begin(), body.end());
+  });
+  if (done != nullptr) *done = resp;
+  return out;
 }
 
 BackupListResponse Client::list() {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -30,11 +31,11 @@ class RemoteError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Upper bound on the bytes a restore will accumulate from RESTORE_DATA
-/// frames. Mirrors the server's per-backup ingest cap (session.h
-/// kMaxBackupBytes): no honest server can stream more, so a longer stream
-/// means a hostile or broken server and the client must fail with
-/// WireError instead of growing without bound.
+/// Upper bound on the bytes the in-memory restore() form will accumulate
+/// from RESTORE_DATA frames: a restore that would grow client memory past
+/// it fails with WireError instead of growing without bound, whether the
+/// backup is that large or the server is hostile or broken. The sink form
+/// holds one frame at a time and needs no cap.
 inline constexpr std::uint64_t kMaxRestoreBytes = 1ull << 30;
 
 class Client {
@@ -51,11 +52,20 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Full backup round trip: BEGIN / DATA frames / END -> stats.
+  /// Full backup round trip: BEGIN / DATA frames / END -> stats. A failure
+  /// the server reports mid-stream surfaces as RemoteError.
   BackupDoneResponse backup(const std::string& label, ByteView stream);
 
-  /// Full restore round trip; returns the restored bytes. `done` (optional)
-  /// receives the server's RESTORE_DONE stats.
+  /// Streaming restore round trip: `sink` receives each RESTORE_DATA body
+  /// in order as it arrives (the view is valid only during the call).
+  /// Returns the server's RESTORE_DONE stats, checked against the bytes
+  /// streamed.
+  RestoreDoneResponse restore(std::uint32_t backup_id,
+                              const std::function<void(ByteView)>& sink);
+
+  /// In-memory restore: the sink form collecting into one buffer, bounded
+  /// by `max_restore_bytes`. `done` (optional) receives the server's
+  /// RESTORE_DONE stats.
   Bytes restore(std::uint32_t backup_id, RestoreDoneResponse* done = nullptr);
 
   BackupListResponse list();
@@ -85,6 +95,9 @@ class Client {
   /// Receive one frame, mapping REJECTED/ERROR to exceptions and anything
   /// other than `expected` to WireError. Returns the frame body.
   Bytes expect(FrameType expected);
+  /// After a failed send: if the server queued an ERROR before closing,
+  /// throw it as RemoteError; otherwise return.
+  void rethrow_queued_error();
 
   Conn conn_;
   std::string tenant_;

@@ -81,6 +81,9 @@ void Session::run() {
     // storage-layer escape) — same containment: session dies, daemon lives.
     report_internal_error("session.internal_error", e.what());
   }
+  // An unfinished backup dies with its session: its containers seal and
+  // nothing is committed.
+  backup_.reset();
   if (admitted_) {
     flush_metrics();
     env_.scheduler.release(tenant_);
@@ -172,25 +175,21 @@ bool Session::handle(ByteView payload) {
     case FrameType::kHello:
       throw WireError("duplicate HELLO");
     case FrameType::kBackupBegin: {
-      if (in_backup_) throw WireError("BACKUP_BEGIN inside a backup");
+      if (backup_.has_value()) throw WireError("BACKUP_BEGIN inside a backup");
       const BackupBeginRequest req = parse_backup_begin(body);
-      in_backup_ = true;
-      backup_label_ = req.label;
-      backup_data_.clear();
+      backup_.emplace(env_.ingestor, req.label.empty() ? tenant_ : req.label);
       send(encode_empty(FrameType::kOk));
       return true;
     }
     case FrameType::kBackupData:
-      if (!in_backup_) throw WireError("BACKUP_DATA outside a backup");
-      if (backup_data_.size() + body.size() > kMaxBackupBytes) {
-        throw WireError("backup stream exceeds size cap");
-      }
-      backup_data_.insert(backup_data_.end(), body.begin(), body.end());
+      if (!backup_.has_value()) throw WireError("BACKUP_DATA outside a backup");
+      backup_->stream.feed(body);
+      note_buffer(backup_->stream.buffer_high_water());
       return true;
     case FrameType::kBackupEnd:
       parse_empty(body);
-      if (!in_backup_) throw WireError("BACKUP_END outside a backup");
-      return timed("backup", [this] { return do_backup_end(); });
+      if (!backup_.has_value()) throw WireError("BACKUP_END outside a backup");
+      return do_backup_end();
     case FrameType::kRestore: {
       const RestoreRequest req = parse_restore(body);
       return timed("restore", [this, &req] { return do_restore(req); });
@@ -224,6 +223,12 @@ bool Session::timed(const char* op, const std::function<bool()>& body) {
     obs::TraceSpan span(span_name, "service");
     keep = body();
   }
+  record_request(op, start);
+  return keep;
+}
+
+void Session::record_request(const char* op,
+                             std::chrono::steady_clock::time_point start) {
   const double us = us_since(start);
   // Name built at runtime; the documented set is registered literally in
   // Server's constructor, one per FrameType op.
@@ -239,15 +244,18 @@ bool Session::timed(const char* op, const std::function<bool()>& body) {
                     {"us", us}, {"tenant", tenant_},
                     {"threshold_us", env_.slow_request_us});
   }
-  return keep;
 }
 
+Session::Backup::Backup(ParallelIngestor& ingestor, std::string label)
+    : start(std::chrono::steady_clock::now()),
+      recipe(std::move(label)),
+      stream(ingestor, &recipe) {}
+
 bool Session::do_backup_end() {
-  const auto start = std::chrono::steady_clock::now();
-  Recipe recipe(backup_label_.empty() ? tenant_ : backup_label_);
-  const StreamIngestStats st =
-      env_.ingestor.ingest_stream(ByteView(backup_data_), &recipe);
-  const std::uint32_t id = env_.catalog.commit(tenant_, std::move(recipe));
+  const StreamIngestStats st = backup_->stream.finish();
+  const std::uint32_t id =
+      env_.catalog.commit(tenant_, std::move(backup_->recipe));
+  const auto start = backup_->start;
 
   local_.counter(scope_ + "backups").add(1);
   local_.counter(scope_ + "logical_bytes").add(st.logical_bytes);
@@ -269,10 +277,9 @@ bool Session::do_backup_end() {
   resp.chunk_count = st.chunk_count;
   resp.unique_bytes = st.unique_bytes;
   resp.dup_bytes = st.dup_bytes;
-  in_backup_ = false;
-  backup_data_.clear();
-  backup_data_.shrink_to_fit();
+  backup_.reset();  // ends the service.backup span
   send(encode(resp));
+  record_request("backup", start);
   return true;
 }
 
@@ -295,31 +302,44 @@ bool Session::do_restore(const RestoreRequest& req) {
   const ContainerStore& store = env_.ingestor.store();
   for (const ContainerId id : referenced) store.wait_sealed(id);
 
-  Bytes out;
-  out.reserve(recipe->logical_bytes());
+  // Assemble straight into the outgoing RESTORE_DATA payload and send each
+  // frame as soon as it is full: the session holds one frame, not the
+  // backup, and the client's first byte leaves after one frame's assembly.
+  const std::size_t full = 1 + kRestoreDataChunk;  // type byte + body
+  Bytes frame = encode_restore_data(ByteView());
+  frame.reserve(full);
+  note_buffer(frame.capacity());
   const RestoreOptions options;
   const RestoreResult rr = restore_with_strategy(
-      store, *recipe, env_.ingestor.params().disk, options, &out);
+      store, *recipe, env_.ingestor.params().disk, options,
+      [&](ByteView bytes) {
+        while (!bytes.empty()) {
+          const std::size_t n = std::min(bytes.size(), full - frame.size());
+          const ByteView part = bytes.first(n);
+          frame.insert(frame.end(), part.begin(), part.end());
+          bytes = bytes.subspan(n);
+          if (frame.size() == full) {
+            send(frame);
+            frame.resize(1);
+          }
+        }
+      });
+  if (frame.size() > 1) send(frame);
 
   local_.counter(scope_ + "restores").add(1);
-  local_.counter(scope_ + "restored_bytes").add(out.size());
+  local_.counter(scope_ + "restored_bytes").add(rr.logical_bytes);
   local_.histogram(scope_ + "restore_wall_us").observe(us_since(start));
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("service.restores").add(1);
-  reg.counter("service.bytes_restored").add(out.size());
+  reg.counter("service.bytes_restored").add(rr.logical_bytes);
   flush_metrics();
   DEFRAG_LOG_INFO("session.restore", {"tenant", tenant_},
                   {"backup_id", req.backup_id},
-                  {"bytes", out.size()},
+                  {"bytes", rr.logical_bytes},
                   {"container_loads", rr.container_loads});
 
-  for (std::uint64_t off = 0; off < out.size(); off += kRestoreDataChunk) {
-    const std::uint64_t n =
-        std::min<std::uint64_t>(kRestoreDataChunk, out.size() - off);
-    send(encode_restore_data(ByteView(out).subspan(off, n)));
-  }
   RestoreDoneResponse resp;
-  resp.logical_bytes = out.size();
+  resp.logical_bytes = rr.logical_bytes;
   resp.container_loads = rr.container_loads;
   send(encode(resp));
   return true;
@@ -359,7 +379,15 @@ bool Session::do_shutdown() {
   return true;
 }
 
+void Session::note_buffer(std::uint64_t bytes) {
+  buffer_high_water_ = std::max(buffer_high_water_, bytes);
+}
+
 void Session::flush_metrics() {
+  if (buffer_high_water_ > 0) {
+    local_.gauge("service.session.buffer_high_water_bytes")
+        .set(static_cast<double>(buffer_high_water_));
+  }
   obs::MetricsRegistry::global().merge_from(local_);
   local_.reset();
 }

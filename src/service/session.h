@@ -11,19 +11,29 @@
 //  - admission mints a request id from the server-wide counter, answers
 //    HELLO_OK with it, and installs an obs::RequestScope for the rest of
 //    the session — every log line and trace span below this thread
-//    (catalog commit, ingest_stream, container seals) carries the rid;
-//  - every request runs under timed(): a "service.<op>" trace span, a
-//    sample in the service.request.<op>_us histogram, and — over the
-//    configured slow threshold — a service.slow_request warning plus the
-//    service.requests_slow counter. BACKUP_DATA is deliberately untimed:
-//    it is the hot byte-append path and has no response to attribute.
+//    (catalog commit, ingest, container seals) carries the rid;
+//  - every request gets a "service.<op>" trace span, a sample in the
+//    service.request.<op>_us histogram, and — over the configured slow
+//    threshold — a service.slow_request warning plus the
+//    service.requests_slow counter. A backup is one request from
+//    BACKUP_BEGIN to BACKUP_DONE, so its span and backup_us cover the
+//    ingest that runs while its BACKUP_DATA frames arrive.
 //
-// Data plane: BACKUP_END hands the accumulated stream to
-// ParallelIngestor::ingest_stream() with a Recipe, and commits the recipe
-// into the tenant's namespace; RESTORE fetches the recipe, waits for every
-// container it references to be *sealed* (ContainerStore::wait_sealed — the
-// barrier that makes restoring concurrently with other tenants' in-flight
-// backups race-free), and replays it through restore_with_strategy().
+// Data plane, streamed both ways through fixed-size buffers:
+//  - BACKUP_BEGIN opens a ParallelIngestor::Stream into a fresh Recipe;
+//    every BACKUP_DATA frame is fed to it as it arrives (chunked,
+//    fingerprinted, deduplicated and appended before the next frame is
+//    read); BACKUP_END finishes the stream and commits the recipe into the
+//    tenant's namespace. Between frames the stream's open container is
+//    parked, so a restore that needs it seals it instead of waiting for
+//    this client. A backup that fails or is abandoned commits nothing.
+//  - RESTORE fetches the recipe, waits for every container it references
+//    to be *sealed* (ContainerStore::wait_sealed — the barrier that makes
+//    restoring concurrently with other tenants' in-flight backups
+//    race-free), and replays it through restore_with_strategy() straight
+//    into the outgoing RESTORE_DATA frame, sending each frame once full.
+//  - Session memory is one frame plus the chunker's max_size carry, not
+//    one backup; service.session.buffer_high_water_bytes reports it.
 //
 // Metrics: session-scoped values accumulate in a session-local
 // MetricsRegistry under the tenant's "service.tenant.<slug>." scope and
@@ -44,16 +54,14 @@
 #include "core/parallel_ingest.h"
 #include "obs/metrics.h"
 #include "obs/request_context.h"
+#include "obs/trace.h"
 #include "service/protocol.h"
 #include "service/scheduler.h"
 #include "service/socket.h"
 #include "service/tenant.h"
+#include "storage/recipe.h"
 
 namespace defrag::service {
-
-/// Cap on one accumulated backup stream (the service is an in-memory
-/// simulation; a runaway client should fail cleanly, not OOM the daemon).
-inline constexpr std::uint64_t kMaxBackupBytes = 1ull << 30;
 
 /// Everything a session borrows from its Server. All references outlive
 /// the session (the scheduler joins every session thread before the
@@ -97,6 +105,7 @@ class Session {
   bool handle_hello(ByteView body);
   /// One post-admission request. Returns false to close the connection.
   bool handle(ByteView payload);
+  /// Finish the open backup, commit its recipe, answer BACKUP_DONE.
   bool do_backup_end();
   bool do_restore(const RestoreRequest& req);
   bool do_list();
@@ -108,6 +117,12 @@ class Session {
   /// slow-request accounting. `op` must be one of the documented
   /// service.request.<op>_us names.
   bool timed(const char* op, const std::function<bool()>& body);
+  /// The latency-histogram and slow-request half of timed(), for a
+  /// request that began at `start`.
+  void record_request(const char* op,
+                      std::chrono::steady_clock::time_point start);
+  /// Raise the session's buffer high-water mark to `bytes`.
+  void note_buffer(std::uint64_t bytes);
   void send(const Bytes& payload) { conn_.send_frame(payload); }
   /// Fold the session-local registry into the global one and clear it.
   void flush_metrics();
@@ -127,9 +142,17 @@ class Session {
   std::string scope_;  // "service.tenant.<slug>."
   obs::MetricsRegistry local_;
 
-  bool in_backup_ = false;
-  std::string backup_label_;
-  Bytes backup_data_;
+  /// A backup between BACKUP_BEGIN and BACKUP_END.
+  struct Backup {
+    Backup(ParallelIngestor& ingestor, std::string label);
+    std::chrono::steady_clock::time_point start;
+    obs::TraceSpan span{"service.backup", "service"};
+    Recipe recipe;  // declared before stream, which writes into it
+    ParallelIngestor::Stream stream;
+  };
+  std::optional<Backup> backup_;
+  /// Largest ingest carry or restore frame buffer this session has held.
+  std::uint64_t buffer_high_water_ = 0;
 };
 
 }  // namespace defrag::service

@@ -35,13 +35,13 @@ ContainerStore::ContainerStore(ContainerStore&& other) noexcept
     : capacity_(other.capacity_),
       compress_on_seal_(other.compress_on_seal_),
       containers_(std::move(other.containers_)),
-      seal_published_(std::move(other.seal_published_)),
+      seal_state_(std::move(other.seal_state_)),
       stream_mode_(other.stream_mode_),
       active_appenders_(other.active_appenders_),
       obs_(other.obs_) {
   DEFRAG_DCHECK(active_appenders_ == 0);
   other.containers_.clear();
-  other.seal_published_.clear();
+  other.seal_state_.clear();
   other.stream_mode_ = false;
 }
 
@@ -51,11 +51,11 @@ ContainerStore& ContainerStore::operator=(ContainerStore&& other) noexcept {
   capacity_ = other.capacity_;
   compress_on_seal_ = other.compress_on_seal_;
   containers_ = std::move(other.containers_);
-  seal_published_ = std::move(other.seal_published_);
+  seal_state_ = std::move(other.seal_state_);
   stream_mode_ = other.stream_mode_;
   obs_ = other.obs_;
   other.containers_.clear();
-  other.seal_published_.clear();
+  other.seal_state_.clear();
   other.stream_mode_ = false;
   return *this;
 }
@@ -64,7 +64,7 @@ Container& ContainerStore::writable() {
   if (containers_.empty() || containers_.back()->sealed()) {
     containers_.push_back(std::make_unique<Container>(
         static_cast<ContainerId>(containers_.size()), capacity_));
-    seal_published_.push_back(false);
+    seal_state_.push_back(SealState::kOpen);
   }
   return *containers_.back();
 }
@@ -121,13 +121,13 @@ Container* ContainerStore::allocate_container() {
   MutexLock lock(mu_);
   containers_.push_back(std::make_unique<Container>(
       static_cast<ContainerId>(containers_.size()), capacity_));
-  seal_published_.push_back(false);
+  seal_state_.push_back(SealState::kOpen);
   return containers_.back().get();
 }
 
-void ContainerStore::publish_seal_locked(ContainerId id) {
-  DEFRAG_CHECK_MSG(id < seal_published_.size(), "publishing unknown container");
-  seal_published_[id] = true;
+void ContainerStore::publish_seal_locked(ContainerId id) const {
+  DEFRAG_CHECK_MSG(id < seal_state_.size(), "publishing unknown container");
+  seal_state_[id] = SealState::kPublished;
   // Tagged with the requesting session's rid (RequestScope), this instant
   // places each container seal on the request's trace track — the deepest
   // point the service's request context reaches. Lock order fine: trace(40)
@@ -143,12 +143,20 @@ void ContainerStore::publish_seal(ContainerId id) {
 
 bool ContainerStore::sealed_visible(ContainerId id) const {
   MutexLock lock(mu_);
-  return id < seal_published_.size() && seal_published_[id];
+  return id < seal_state_.size() && seal_state_[id] == SealState::kPublished;
 }
 
 void ContainerStore::wait_sealed(ContainerId id) const {
   MutexLock lock(mu_);
-  while (id >= seal_published_.size() || !seal_published_[id]) {
+  while (id >= seal_state_.size() || seal_state_[id] != SealState::kPublished) {
+    if (id < seal_state_.size() && seal_state_[id] == SealState::kParked) {
+      // The owner is idle and handed the container over at park(): seal it
+      // here rather than wait on the owner's pace. It rolls on resume().
+      containers_[id]->seal(compress_on_seal_);
+      publish_seal_locked(id);
+      obs_.seals->add(1);
+      return;
+    }
     seal_cv_.wait(mu_);
   }
 }
@@ -167,7 +175,8 @@ void ContainerStore::appender_closed() {
 
 ContainerStore::StreamAppender::StreamAppender(StreamAppender&& other) noexcept
     : store_(std::exchange(other.store_, nullptr)),
-      open_(std::exchange(other.open_, nullptr)) {}
+      open_(std::exchange(other.open_, nullptr)),
+      parked_(std::exchange(other.parked_, false)) {}
 
 ContainerStore::StreamAppender::~StreamAppender() noexcept { finish(); }
 
@@ -176,6 +185,7 @@ ChunkLocation ContainerStore::StreamAppender::append(const Fingerprint& fp,
                                                      SegmentId segment,
                                                      DiskSim& sim) {
   DEFRAG_CHECK_MSG(store_ != nullptr, "append on a closed StreamAppender");
+  DEFRAG_CHECK_MSG(!parked_, "append on a parked StreamAppender");
   DEFRAG_CHECK_MSG(data.size() <= store_->capacity_,
                    "chunk larger than container capacity");
   DEFRAG_FAILPOINT("store.stream_append");
@@ -204,8 +214,32 @@ void ContainerStore::StreamAppender::close() {
   finish();
 }
 
+void ContainerStore::StreamAppender::park() {
+  if (store_ == nullptr || parked_) return;
+  parked_ = true;
+  if (open_ == nullptr) return;
+  MutexLock lock(store_->mu_);
+  store_->seal_state_[open_->id()] = SealState::kParked;
+  // A reader may already be blocked on this container; let it seal it.
+  store_->seal_cv_.notify_all();
+}
+
+void ContainerStore::StreamAppender::resume() {
+  if (!parked_) return;
+  parked_ = false;
+  if (open_ == nullptr) return;
+  MutexLock lock(store_->mu_);
+  SealState& state = store_->seal_state_[open_->id()];
+  if (state == SealState::kPublished) {
+    open_ = nullptr;  // a reader sealed it; append() starts a fresh one
+  } else {
+    state = SealState::kOpen;
+  }
+}
+
 void ContainerStore::StreamAppender::finish() noexcept {
   if (store_ == nullptr) return;
+  resume();
   if (open_ != nullptr) {
     open_->seal(store_->compress_on_seal_);
     store_->publish_seal(open_->id());

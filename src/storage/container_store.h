@@ -33,6 +33,13 @@
 // therefore safe from any thread at any time (the concurrent-restore path
 // of the service daemon).
 //
+// Parked appenders: an appender whose owner goes idle mid-stream (a service
+// session waiting for its client's next frame) parks its open container.
+// wait_sealed() seals a parked container itself instead of waiting on the
+// owner, so a stalled writer never blocks a reader; the owner finds the
+// seal on resume() and rolls to a fresh container at its next append.
+// Placement therefore changes only when a reader actually waits.
+//
 // The ObsHandles counters are process-wide relaxed atomics (see
 // obs/metrics.h) and safe from any thread.
 #pragma once
@@ -77,7 +84,8 @@ class ContainerStore {
     ~StreamAppender() noexcept;
 
     /// Append a chunk to this stream's open container, rolling to a fresh
-    /// one as needed. Charges the sequential write to `sim`.
+    /// one as needed. Charges the sequential write to `sim`. Not while
+    /// parked (checked).
     ChunkLocation append(const Fingerprint& fp, ByteView data,
                          SegmentId segment, DiskSim& sim);
 
@@ -88,6 +96,15 @@ class ContainerStore {
     /// the destructor seals through the noexcept finish() path instead.
     void close();
 
+    /// Hand the open container to the store while the owner is idle: from
+    /// here until resume(), wait_sealed() may seal it on the owner's
+    /// behalf. The owner must not use the appender until resume().
+    void park();
+
+    /// End a park(). If a reader sealed the open container meanwhile, the
+    /// next append() starts a fresh one. No-op when not parked.
+    void resume();
+
    private:
     friend class ContainerStore;
     explicit StreamAppender(ContainerStore* store) : store_(store) {}
@@ -97,6 +114,7 @@ class ContainerStore {
 
     ContainerStore* store_ = nullptr;
     Container* open_ = nullptr;  // exclusively owned until sealed
+    bool parked_ = false;
   };
 
   /// Open a concurrent append handle. Disables the serial append path for
@@ -125,9 +143,9 @@ class ContainerStore {
   /// Block until container `id` exists and its seal is published. The
   /// concurrent-restore barrier: a service session restoring a recipe that
   /// references another stream's container waits here until that stream
-  /// rolls or closes its appender, then reads race-free. Containers seal no
-  /// later than appender close(), so waits are bounded by the writing
-  /// session's lifetime.
+  /// rolls, parks or closes its appender, then reads race-free. A parked
+  /// container is sealed here, by the caller; otherwise the wait is bounded
+  /// by the writer's work between two parks (one ingest call).
   void wait_sealed(ContainerId id) const;
 
   /// wait_sealed() + load(): the safe read path under concurrent appends.
@@ -169,7 +187,7 @@ class ContainerStore {
 
   /// Record that `id` sealed while mu_ was held (serial path) and wake
   /// wait_sealed() waiters.
-  void publish_seal_locked(ContainerId id) DEFRAG_REQUIRES(mu_);
+  void publish_seal_locked(ContainerId id) const DEFRAG_REQUIRES(mu_);
 
   /// Publish a seal performed off-lock (StreamAppender roll/close): takes
   /// mu_, which is what gives readers the happens-before edge with the
@@ -189,8 +207,11 @@ class ContainerStore {
   // seal their private container off-lock; readers must never touch a
   // container's own state concurrently, so seals become *visible* only via
   // this vector, written under mu_ (serial-path seal sites already hold it;
-  // appenders publish through publish_seal()).
-  std::vector<bool> seal_published_ DEFRAG_GUARDED_BY(mu_);
+  // appenders publish through publish_seal()). kParked marks an idle
+  // appender's container that wait_sealed() may seal — hence mutable: a
+  // const reader's wait can complete the owner's seal.
+  enum class SealState : std::uint8_t { kOpen, kParked, kPublished };
+  mutable std::vector<SealState> seal_state_ DEFRAG_GUARDED_BY(mu_);
   mutable CondVar seal_cv_;
   bool stream_mode_ DEFRAG_GUARDED_BY(mu_) = false;
   std::size_t active_appenders_ DEFRAG_GUARDED_BY(mu_) = 0;

@@ -61,6 +61,36 @@ TEST_P(RestoreStrategyTest, SimulationOnlyModeMatchesCosts) {
   EXPECT_DOUBLE_EQ(with_bytes.sim_seconds, sim_only.sim_seconds);
 }
 
+// The sink is the one walk; the Bytes* form only appends what it is fed.
+// Bytes, loads and the I/O model must agree exactly, call for call.
+TEST_P(RestoreStrategyTest, SinkMatchesBytesOutput) {
+  RestoreOptions opt;
+  opt.strategy = GetParam();
+  for (std::uint32_t g = 1; g <= 4; ++g) {
+    const Recipe& recipe = base().recipe_store().get(g);
+    Bytes out;
+    const RestoreResult bytes_form = restore_with_strategy(
+        base().container_store(), recipe, base().config().disk, opt, &out);
+    Bytes sunk;
+    std::size_t calls = 0;
+    const RestoreResult sink_form = restore_with_strategy(
+        base().container_store(), recipe, base().config().disk, opt,
+        [&](ByteView b) {
+          sunk.insert(sunk.end(), b.begin(), b.end());
+          ++calls;
+        });
+    EXPECT_EQ(sunk, out) << "generation " << g;
+    EXPECT_EQ(calls, recipe.entries().size()) << "generation " << g;
+    EXPECT_EQ(sink_form.logical_bytes, bytes_form.logical_bytes);
+    EXPECT_EQ(sink_form.container_loads, bytes_form.container_loads);
+    EXPECT_EQ(sink_form.io.seeks, bytes_form.io.seeks);
+    EXPECT_EQ(sink_form.io.bytes_read, bytes_form.io.bytes_read);
+    EXPECT_EQ(sink_form.io.bytes_written, bytes_form.io.bytes_written);
+    EXPECT_EQ(sink_form.sim_seconds, bytes_form.sim_seconds);
+    EXPECT_EQ(sink_form.cache_hit_rate, bytes_form.cache_hit_rate);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, RestoreStrategyTest,
                          ::testing::Values(RestoreStrategy::kContainerLru,
                                            RestoreStrategy::kChunkLru,

@@ -253,6 +253,69 @@ TEST_F(FaultInjectionTest, StoreLoadFaultFailsRestoreWithTypedError) {
   EXPECT_EQ(retry.restore(done.backup_id), data);
 }
 
+// The session ingests BACKUP_DATA frames as they arrive, so a connection
+// fault between frames lands mid-ingest. The backup must fail with a typed
+// error and leave nothing behind: no committed recipe, no unpublished
+// claim, and a later backup of the same data restores bit-identically.
+TEST_F(FaultInjectionTest, RecvFrameFaultMidBackupCommitsNothing) {
+  start();
+  constexpr std::size_t kFrame = 1 << 20;
+  const Bytes data = testing::random_bytes(3 * kFrame, 9040);
+  Conn conn = connect_unix(path());
+  const auto expect = [&conn](FrameType want) {
+    const std::optional<Bytes> payload = conn.recv_frame();
+    EXPECT_TRUE(payload.has_value());
+    if (!payload.has_value()) return Bytes{};
+    EXPECT_EQ(frame_type(*payload), want);
+    return to_bytes(frame_body(*payload));
+  };
+  HelloRequest hello;
+  hello.tenant = "midstream";
+  conn.send_frame(encode(hello));
+  expect(FrameType::kHelloOk);
+  BackupBeginRequest begin;
+  begin.label = "doomed";
+  conn.send_frame(encode(begin));
+  expect(FrameType::kOk);
+  for (std::size_t i = 0; i < 2; ++i) {
+    conn.send_frame(
+        encode_backup_data(ByteView(data).subspan(i * kFrame, kFrame)));
+  }
+  // The LIST answer proves both frames were ingested; nothing is listed
+  // while the backup is open.
+  conn.send_frame(encode_empty(FrameType::kList));
+  EXPECT_TRUE(
+      parse_backup_list(expect(FrameType::kBackupList)).backups.empty());
+
+  // The session's next read faults: the one for the third frame or, if the
+  // session already waits in that read, the one after it.
+  const std::uint64_t before = failpoint::hit_count("service.recv_frame");
+  failpoint::arm("service.recv_frame", Action::kThrow);
+  try {
+    conn.send_frame(
+        encode_backup_data(ByteView(data).subspan(2 * kFrame, kFrame)));
+  } catch (const SocketError&) {
+    // The session died before reading this frame.
+  }
+  // Wait for the server's read to spend the arming before this thread
+  // reads (the failpoint is process-wide).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (failpoint::hit_count("service.recv_frame") == before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(failpoint::hit_count("service.recv_frame"), before + 1);
+  expect(FrameType::kError);
+
+  Client after(path(), "midstream");
+  EXPECT_TRUE(after.list().backups.empty());
+  EXPECT_EQ(server_->ingestor().index().pending_claims(), 0u);
+  const BackupDoneResponse done = after.backup("kept", ByteView(data));
+  EXPECT_EQ(done.logical_bytes, data.size());
+  EXPECT_EQ(after.restore(done.backup_id), data);
+}
+
 // A failed session is ONE dead session, not a dead daemon: the error is
 // counted, the peer gets a typed ERROR, and other tenants never notice.
 TEST_F(FaultInjectionTest, InjectedFaultLeavesOtherTenantsServing) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <map>
@@ -242,6 +243,60 @@ TEST(ConcurrentAppendTest, WaitSealedBlocksUntilPublication) {
   appender.close();
   reader.join();
   EXPECT_TRUE(read_ok.load());
+}
+
+// A reader already blocked on an open container is released by the owner's
+// park(): it seals the container itself, and the owner's next append after
+// resume() rolls to a fresh one. TSan checks the hand-over both ways.
+TEST(ConcurrentAppendTest, ParkLetsAWaitingReaderSealAndTheOwnerRolls) {
+  ContainerStore store(kSmallContainer);
+  DiskSim sim;
+  auto appender = store.open_stream();
+  const Bytes data = chunk_data(8, 0, 4096);
+  const ChunkLocation loc =
+      appender.append(Fingerprint::of(data), data, kInvalidSegment, sim);
+
+  std::atomic<bool> read_ok{false};
+  std::thread reader([&store, &read_ok, loc, &data] {
+    DiskSim reader_sim;
+    const ByteView read =
+        store.load_sealed(loc.container, reader_sim).read(loc);
+    read_ok.store(
+        std::equal(read.begin(), read.end(), data.begin(), data.end()));
+  });
+  appender.park();
+  reader.join();
+  EXPECT_TRUE(read_ok.load());
+  EXPECT_TRUE(store.sealed_visible(loc.container));
+
+  appender.resume();
+  const Bytes more = chunk_data(8, 1, 4096);
+  const ChunkLocation next =
+      appender.append(Fingerprint::of(more), more, kInvalidSegment, sim);
+  EXPECT_NE(next.container, loc.container);
+  appender.close();
+  EXPECT_TRUE(store.sealed_visible(next.container));
+}
+
+// Without a waiting reader, park() + resume() changes nothing: the owner
+// keeps appending to the same container.
+TEST(ConcurrentAppendTest, ParkWithoutAReaderKeepsPlacement) {
+  ContainerStore store(kSmallContainer);
+  DiskSim sim;
+  auto appender = store.open_stream();
+  const Bytes a = chunk_data(9, 0, 4096);
+  const Bytes b = chunk_data(9, 1, 4096);
+  const ChunkLocation first =
+      appender.append(Fingerprint::of(a), a, kInvalidSegment, sim);
+  appender.park();
+  EXPECT_FALSE(store.sealed_visible(first.container));
+  EXPECT_THROW(appender.append(Fingerprint::of(b), b, kInvalidSegment, sim),
+               CheckFailure);
+  appender.resume();
+  const ChunkLocation second =
+      appender.append(Fingerprint::of(b), b, kInvalidSegment, sim);
+  EXPECT_EQ(second.container, first.container);
+  appender.close();
 }
 
 }  // namespace

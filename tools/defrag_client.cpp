@@ -2,6 +2,7 @@
 //
 //   defrag-client backup       --socket PATH --tenant NAME
 //                              [--generations N] [--files N] [--seed N]
+//                              [--in FILE]
 //   defrag-client restore      --socket PATH --tenant NAME --id N [--out F]
 //   defrag-client list         --socket PATH --tenant NAME
 //   defrag-client metrics      --socket PATH [--tenant NAME] [--out FILE]
@@ -13,7 +14,9 @@
 //   defrag-client probe-reject --socket PATH --sessions N [--tenant NAME]
 //
 // `backup` streams N generations of the synthetic backup series (one
-// BACKUP round trip each) and prints the server's dedup stats. `smoke` is
+// BACKUP round trip each), or with --in the bytes of FILE as one backup,
+// and prints the server's dedup stats. `restore --out F` writes each
+// RESTORE_DATA frame to F as it arrives. `smoke` is
 // the concurrency exerciser the service_smoke ctest runs: T tenants x S
 // sessions, every session backing up G generations concurrently and then
 // restoring each one, failing unless every restore is bit-identical.
@@ -24,6 +27,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -51,20 +55,35 @@ int usage() {
   return 2;
 }
 
+void print_backup(std::uint32_t n, const service::BackupDoneResponse& r) {
+  std::printf("backup %u: id=%u %s logical -> %s unique (%llu chunks)\n", n,
+              r.backup_id, format_bytes(r.logical_bytes).c_str(),
+              format_bytes(r.unique_bytes).c_str(),
+              static_cast<unsigned long long>(r.chunk_count));
+}
+
 int cmd_backup(const cli::Args& args) {
   service::Client client(args.get("socket", "/tmp/defrag-serve.sock"),
                          args.get("tenant", "default"));
+  const std::string in_path = args.get("in", "");
+  if (!in_path.empty()) {
+    std::ifstream in(in_path, std::ios::binary);
+    if (!in) {
+      std::fprintf(stderr, "cannot open %s for reading\n", in_path.c_str());
+      return 2;
+    }
+    const Bytes data((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    print_backup(1, client.backup(in_path, ByteView(data)));
+    return 0;
+  }
   const std::uint32_t generations = args.get_u32("generations", 3);
   workload::SingleUserSeries series(args.get_u64("seed", 42),
                                     cli::fs_from(args));
   for (std::uint32_t g = 1; g <= generations; ++g) {
     const workload::Backup b = series.next();
-    const service::BackupDoneResponse r =
-        client.backup("gen-" + std::to_string(g), ByteView(b.stream));
-    std::printf("backup %u: id=%u %s logical -> %s unique (%llu chunks)\n", g,
-                r.backup_id, format_bytes(r.logical_bytes).c_str(),
-                format_bytes(r.unique_bytes).c_str(),
-                static_cast<unsigned long long>(r.chunk_count));
+    print_backup(g, client.backup("gen-" + std::to_string(g),
+                                  ByteView(b.stream)));
   }
   return 0;
 }
@@ -73,20 +92,30 @@ int cmd_restore(const cli::Args& args) {
   service::Client client(args.get("socket", "/tmp/defrag-serve.sock"),
                          args.get("tenant", "default"));
   const std::uint32_t id = args.get_u32("id", 1);
-  service::RestoreDoneResponse done;
-  const Bytes data = client.restore(id, &done);
   const std::string out_path = args.get("out", "");
+  std::ofstream out;
   if (!out_path.empty()) {
-    std::ofstream out(out_path, std::ios::binary);
+    out.open(out_path, std::ios::binary);
     if (!out) {
       std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
       return 2;
     }
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
+  }
+  // Frames go to the file as they arrive; the client never holds more
+  // than one.
+  const service::RestoreDoneResponse done =
+      client.restore(id, [&](ByteView frame) {
+        if (out.is_open()) {
+          out.write(reinterpret_cast<const char*>(frame.data()),
+                    static_cast<std::streamsize>(frame.size()));
+        }
+      });
+  if (out.is_open() && !out.flush()) {
+    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+    return 2;
   }
   std::printf("restore %u: %s (%llu container loads)%s%s\n", id,
-              format_bytes(data.size()).c_str(),
+              format_bytes(done.logical_bytes).c_str(),
               static_cast<unsigned long long>(done.container_loads),
               out_path.empty() ? "" : " -> ", out_path.c_str());
   return 0;

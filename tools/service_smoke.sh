@@ -7,9 +7,10 @@
 #
 # Exercises, in order: concurrent multi-tenant backup/restore round trips
 # with bit-identical verification (2 tenants x 4 sessions = 8 concurrent
-# sessions), live introspection (defrag-client stats/health + one
-# defrag-top snapshot) matching the observed load, admission-control
-# rejection of over-quota sessions, the metrics export carrying per-tenant
+# sessions), a multi-frame backup restored bit-identically to a file, live
+# introspection (defrag-client stats/health + one defrag-top snapshot)
+# matching the observed load, admission-control rejection of over-quota
+# sessions, the metrics export carrying per-tenant
 # service scopes and per-request latency histograms, structured JSON-lines
 # logging, the drain-time --metrics-json/--trace-out exports, graceful
 # shutdown via the SHUTDOWN request and via SIGTERM, and drain-under-fault:
@@ -59,6 +60,19 @@ wait_for_socket
 echo "== concurrent multi-tenant backup/restore (2 tenants x 4 sessions)"
 "$CLIENT" smoke --socket "$SOCK" --tenants 2 --sessions 4 \
     --generations 2 --files 8
+
+echo "== multi-frame backup restores bit-identically through --out"
+# 10 MiB spans three 4 MiB BACKUP_DATA and RESTORE_DATA frames: the session
+# ingests the stream frame by frame and streams the restore back, and the
+# client writes each frame to the file as it arrives.
+BIG="$SCRATCH/service_smoke_big.bin"
+BIG_OUT="$SCRATCH/service_smoke_big_restored.bin"
+python3 -c "import random, sys
+sys.stdout.buffer.write(random.Random(7).randbytes(10 << 20))" > "$BIG"
+"$CLIENT" backup --socket "$SOCK" --tenant big --in "$BIG"
+"$CLIENT" restore --socket "$SOCK" --tenant big --id 1 --out "$BIG_OUT"
+cmp "$BIG" "$BIG_OUT"
+rm -f "$BIG" "$BIG_OUT"
 
 echo "== live stats/health reflect the load just served"
 STATS="$SCRATCH/service_smoke_stats.txt"
