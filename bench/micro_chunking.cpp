@@ -1,6 +1,6 @@
-// Microbenchmarks (google-benchmark): chunking algorithms, fingerprinting,
-// and the parallel preparation pipeline. These measure real wall-clock cost
-// of the substrate, independent of the simulated-disk experiments.
+// Microbenchmarks (google-benchmark): chunking algorithms, fingerprinting
+// and local compression. These measure real wall-clock cost of the
+// substrate, independent of the simulated-disk experiments.
 //
 // Besides the google-benchmark series, main() ALWAYS runs a fast self-timed
 // SIMD check pass (scalar vs dispatched gear scan, scalar vs multi-buffer
@@ -34,7 +34,6 @@
 #include "common/sha256.h"
 #include "common/sha_mb.h"
 #include "compress/lzss.h"
-#include "dedup/pipeline.h"
 #include "harness.h"
 #include "obs/metrics.h"
 #include "workload/content.h"
@@ -73,7 +72,7 @@ void BM_GearChunking(benchmark::State& state) {
 BENCHMARK(BM_GearChunking)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// The full gear split with the dispatch pinned to one ISA level —
-/// scalar-vs-SIMD on the same data, one series per level the host has.
+/// scalar (0) vs AVX-512 (3), the only two gear kernels, on the same data.
 void BM_GearChunkingAtLevel(benchmark::State& state) {
   const auto level = static_cast<cpu::IsaLevel>(state.range(0));
   if (level > cpu::detected_isa_level()) {
@@ -92,12 +91,12 @@ void BM_GearChunkingAtLevel(benchmark::State& state) {
   state.SetLabel(cpu::isa_level_name(level));
 }
 BENCHMARK(BM_GearChunkingAtLevel)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)
+    ->Arg(0)->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
-/// The raw boundary-scan kernel per ISA level, without the chunker loop
-/// around it: one long no-boundary region (mask that never hits), the pure
-/// hot-loop throughput number.
+/// The raw boundary-scan kernel, scalar (0) vs AVX-512 (3), without the
+/// chunker loop around it: one long no-boundary region (mask that never
+/// hits), the pure hot-loop throughput number.
 void BM_GearScanKernel(benchmark::State& state) {
   const auto level = static_cast<cpu::IsaLevel>(state.range(0));
   if (level > cpu::detected_isa_level()) {
@@ -118,7 +117,7 @@ void BM_GearScanKernel(benchmark::State& state) {
   state.SetLabel(cpu::isa_level_name(level));
 }
 BENCHMARK(BM_GearScanKernel)
-    ->Arg(0)->Arg(1)->Arg(2)->Arg(3)
+    ->Arg(0)->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 /// Incremental split_to (the sink-callback path every engine actually uses;
@@ -245,19 +244,6 @@ void BM_LzssDecompress(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
 }
 BENCHMARK(BM_LzssDecompress)->Unit(benchmark::kMillisecond);
-
-void BM_PipelinePrepare(benchmark::State& state) {
-  const Bytes data = bench_data(8 << 20);
-  GearChunker chunker;
-  StreamPipeline pipeline(chunker, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pipeline.run(data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size()));
-  state.SetLabel(std::to_string(state.range(0)) + " workers");
-}
-BENCHMARK(BM_PipelinePrepare)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Self-timed SIMD checks (always run, independent of --benchmark_filter).

@@ -1,26 +1,19 @@
 // Micro-bench of the parallel ingest fast path (wall-clock, real machine).
 //
-// Two sweeps over one synthetic stream (256 MiB, or 16 MiB under
-// DEFRAG_BENCH_SCALE=tiny):
-//
-//   1. multi-stream scaling — the stream is sliced into W independent
-//      streams ingested concurrently through one ParallelIngestor
-//      (lock-striped index + per-stream container appenders), W in
-//      {1, 2, 4, 8};
-//   2. SPSC pipeline sweep — one stream through StreamPipeline with
-//      {1, 2, 4} fingerprint workers against the synchronous baseline,
-//      reporting the per-stage busy times and achieved overlap.
+// Multi-stream scaling over one synthetic stream (256 MiB, or 16 MiB under
+// DEFRAG_BENCH_SCALE=tiny): the stream is sliced into W independent streams
+// ingested concurrently through one ParallelIngestor (lock-striped index +
+// per-stream container appenders), W in {1, 2, 4, 8}.
 //
 // Speedups here are *wall-clock* and bounded by the host's core count —
 // `system.bench.hardware_concurrency` is recorded alongside the results so
 // a committed snapshot is interpretable (on a single-core host the
-// expected scaling is ~1.0x and the interesting numbers are the contention
-// overhead and the pipeline overlap accounting). Unlike the fig*_ benches,
-// nothing here depends on the simulated disk clock.
+// expected scaling is ~1.0x and the interesting number is the contention
+// overhead). Unlike the fig*_ benches, nothing here depends on the
+// simulated disk clock.
 //
 // DEFRAG_METRICS_JSON=<path> dumps the registry (defrag.metrics.v1) on
 // exit, including the sweep results under `system.bench.*`.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,7 +23,6 @@
 
 #include "common/rng.h"
 #include "core/parallel_ingest.h"
-#include "dedup/pipeline.h"
 #include "harness.h"
 #include "obs/metrics.h"
 
@@ -84,39 +76,6 @@ int run() {
     const std::string suffix = "_w" + std::to_string(w);
     reg.gauge("system.bench.parallel_ingest.mb_s" + suffix).set(mb_s);
     reg.gauge("system.bench.parallel_ingest.speedup" + suffix).set(speedup);
-  }
-
-  std::printf("\nSPSC pipeline sweep (one stream, W fingerprint workers):\n");
-  std::printf("  %-8s %10s %10s %10s %10s %10s\n", "workers", "wall_s",
-              "chunk_s", "fp_s", "stall_s", "overlap_s");
-  const auto chunker = make_chunker(ChunkerKind::kGear, {});
-  {
-    // Synchronous baseline: chunk + fingerprint inline, like the engines
-    // with fingerprint_threads == 0.
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<StreamChunk> chunks;
-    chunker->split_to(view, [&](const ChunkRef& r) {
-      chunks.push_back(StreamChunk{
-          Fingerprint::of(view.subspan(r.offset, r.size)), r.offset, r.size});
-    });
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    std::printf("  %-8s %10.3f %10s %10s %10s %10s   (%zu chunks)\n", "sync",
-                wall, "-", "-", "-", "-", chunks.size());
-    reg.gauge("system.bench.pipeline.wall_s_sync").set(wall);
-  }
-  for (const std::size_t w : {1u, 2u, 4u}) {
-    StreamPipeline pipeline(*chunker, w);
-    PipelineStats st;
-    pipeline.run(view, &st);
-    std::printf("  %-8zu %10.3f %10.3f %10.3f %10.3f %10.3f\n", w,
-                st.wall_seconds, st.chunk_seconds, st.fingerprint_seconds,
-                st.producer_stall_seconds, st.overlap_seconds());
-    const std::string suffix = "_w" + std::to_string(w);
-    reg.gauge("system.bench.pipeline.wall_s" + suffix).set(st.wall_seconds);
-    reg.gauge("system.bench.pipeline.overlap_s" + suffix)
-        .set(st.overlap_seconds());
   }
   return 0;
 }

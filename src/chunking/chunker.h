@@ -43,10 +43,10 @@ class Chunker {
 
   /// Split `data` into contiguous chunks covering the whole buffer,
   /// invoking `sink` once per chunk *as each boundary is found*. This is
-  /// the one boundary loop: split() collects it into a vector, and the
-  /// parallel ingest pipeline feeds batches downstream while chunking is
-  /// still running. Deterministic: equal input always yields equal
-  /// boundaries, and split()/split_to() emit the identical sequence.
+  /// the one boundary loop: split() and the ingest paths'
+  /// chunk_and_fingerprint() collect it into a vector. Deterministic: equal
+  /// input always yields equal boundaries, and split()/split_to() emit the
+  /// identical sequence.
   virtual void split_to(ByteView data, const ChunkSink& sink) const = 0;
 
   /// Split `data` into contiguous chunks covering the whole buffer.

@@ -1,7 +1,5 @@
 #include "chunking/gear_simd.h"
 
-#include <cstring>
-
 #include "common/cpu.h"
 #include "obs/metrics.h"
 
@@ -18,95 +16,7 @@ using std::size_t;
 using std::uint64_t;
 using std::uint8_t;
 
-/// Fold 16 bytes into the chain `x`, writing the 16 successive hash values
-/// to hb[0..15]. Pairing two bytes per step keeps the serial dependency at
-/// one LEA per two bytes: with g0, g1 the two table values,
-///   h_odd  = 2x + g0
-///   h_even = 4x + 2 g0 + g1
-/// which equals two single-byte folds because the mod-2^64 adds wrap
-/// associatively. Plain scalar code on purpose: the chain is the part SIMD
-/// cannot help with (it is load- and latency-bound), the vector units only
-/// test the results.
-inline void chain16(const uint8_t* p, const uint64_t* g, uint64_t& x,
-                    uint64_t* hb) {
-  for (int w = 0; w < 2; ++w) {
-    uint64_t word;
-    std::memcpy(&word, p + 8 * w, 8);
-    for (int k = 0; k < 4; ++k) {
-      const uint64_t g0 = g[word & 0xff];
-      const uint64_t g1 = g[(word >> 8) & 0xff];
-      word >>= 16;
-      const int j = 8 * w + 2 * k;
-      hb[j] = x * 2 + g0;
-      x = x * 4 + (g0 * 2 + g1);
-      hb[j + 1] = x;
-    }
-  }
-}
-
-/// First index j in hb[0..n) with (hb[j] & mask) == 0, or n.
-inline size_t first_hit(const uint64_t* hb, size_t n, uint64_t mask) {
-  for (size_t j = 0; j < n; ++j) {
-    if ((hb[j] & mask) == 0) return j;
-  }
-  return n;
-}
-
 #if DEFRAG_SIMD_X86
-
-__attribute__((target("sse4.1"))) size_t gear_scan_sse41(
-    const uint8_t* data, size_t pos, size_t end, uint64_t mask, uint64_t& h,
-    const uint64_t* table) {
-  uint64_t x = h;
-  const __m128i vmask = _mm_set1_epi64x(static_cast<long long>(mask));
-  const __m128i zero = _mm_setzero_si128();
-  alignas(16) uint64_t hb[16];
-  while (pos + 16 <= end) {
-    chain16(data + pos, table, x, hb);
-    __m128i any = zero;
-    for (int v = 0; v < 8; ++v) {
-      const __m128i t =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(hb) + v);
-      any = _mm_or_si128(any, _mm_cmpeq_epi64(_mm_and_si128(t, vmask), zero));
-    }
-    if (_mm_movemask_epi8(any) != 0) {
-      const size_t j = first_hit(hb, 16, mask);
-      h = hb[j];
-      return pos + j + 1;
-    }
-    pos += 16;
-  }
-  h = x;
-  return gear_scan_scalar(data, pos, end, mask, h, table);
-}
-
-__attribute__((target("avx2"))) size_t gear_scan_avx2(
-    const uint8_t* data, size_t pos, size_t end, uint64_t mask, uint64_t& h,
-    const uint64_t* table) {
-  uint64_t x = h;
-  const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(mask));
-  const __m256i zero = _mm256_setzero_si256();
-  alignas(32) uint64_t hb[16];
-  while (pos + 16 <= end) {
-    chain16(data + pos, table, x, hb);
-    __m256i any = zero;
-    for (int v = 0; v < 4; ++v) {
-      const __m256i t =
-          _mm256_load_si256(reinterpret_cast<const __m256i*>(hb) + v);
-      any = _mm256_or_si256(any,
-                            _mm256_cmpeq_epi64(_mm256_and_si256(t, vmask),
-                                               zero));
-    }
-    if (_mm256_movemask_epi8(any) != 0) {
-      const size_t j = first_hit(hb, 16, mask);
-      h = hb[j];
-      return pos + j + 1;
-    }
-    pos += 16;
-  }
-  h = x;
-  return gear_scan_scalar(data, pos, end, mask, h, table);
-}
 
 /// Hillis-Steele prefix scan across the 8 u64 lanes of `g`: lane j becomes
 /// sum_{t<=j} g[t] << (j-t), i.e. the gear fold of 8 bytes starting from 0.
@@ -207,16 +117,7 @@ std::size_t gear_scan_scalar(const std::uint8_t* data, std::size_t pos,
 
 GearScanFn gear_scan_for(cpu::IsaLevel level) {
 #if DEFRAG_SIMD_X86
-  switch (level) {
-    case cpu::IsaLevel::kAvx512:
-      return &gear_scan_avx512;
-    case cpu::IsaLevel::kAvx2:
-      return &gear_scan_avx2;
-    case cpu::IsaLevel::kSse41:
-      return &gear_scan_sse41;
-    case cpu::IsaLevel::kScalar:
-      return &gear_scan_scalar;
-  }
+  if (level == cpu::IsaLevel::kAvx512) return &gear_scan_avx512;
 #else
   (void)level;
 #endif
@@ -234,14 +135,7 @@ GearScanFn active_gear_scan() {
     return true;
   }();
   (void)published;
-  const cpu::IsaLevel level = cpu::active_isa_level();
-  // Dispatch policy (measured on Ice Lake-SP, see DESIGN.md): the scalar
-  // loop is load-bound at ~1.6 GB/s and the SSE4.1/AVX2 block kernels sit
-  // at or slightly below it, so only the AVX-512 gather+prefix kernel —
-  // the one formulation measured ahead of scalar — dispatches wide. The
-  // narrower kernels stay reachable via gear_scan_for() for tests/benches.
-  if (level == cpu::IsaLevel::kAvx512) return gear_scan_for(level);
-  return &gear_scan_scalar;
+  return gear_scan_for(cpu::active_isa_level());
 }
 
 void add_simd_bytes(std::uint64_t bytes) {

@@ -16,10 +16,9 @@
 // gear recurrence is bound by its per-byte table load on every x86
 // formulation tried — block scans, prefix scans and gathers all land within
 // ~±15% of the scalar loop. The AVX-512 gather+prefix kernel is the only
-// one measured ahead (~1.1×); the SSE4.1/AVX2 block kernels exist to make
-// the dispatch ladder complete and differentially testable on narrower
-// hardware. The large SIMD win in this substrate is multi-buffer
-// fingerprinting (common/sha_mb.h).
+// one measured ahead (~1.1×), so it is the only wide kernel; SSE4.1 and
+// AVX2 hosts run the scalar loop. The large SIMD win in this substrate is
+// multi-buffer fingerprinting (common/sha_mb.h).
 #pragma once
 
 #include <cstddef>
@@ -45,14 +44,14 @@ std::size_t gear_scan_scalar(const std::uint8_t* data, std::size_t pos,
                              std::size_t end, std::uint64_t mask,
                              std::uint64_t& h, const std::uint64_t* table);
 
-/// The kernel compiled for exactly `level` (clamped down to the widest one
-/// this build supports — non-x86 builds only have the scalar kernel). Meant
-/// for differential tests and benches that sweep levels explicitly.
+/// The kernel for `level`: the AVX-512 kernel at kAvx512 on x86 builds, the
+/// scalar loop below it (and on every non-x86 build). Callers pass a level
+/// the host supports; differential tests and benches sweep it explicitly.
 GearScanFn gear_scan_for(cpu::IsaLevel level);
 
-/// The kernel production dispatch uses for cpu::active_isa_level(): wide
-/// kernels where they measure at or above scalar, the scalar loop elsewhere.
-/// Also publishes the `system.cpu.isa_level` gauge on first call.
+/// The kernel production dispatch uses: gear_scan_for() at
+/// cpu::active_isa_level(). Also publishes the `system.cpu.isa_level` gauge
+/// on first call.
 GearScanFn active_gear_scan();
 
 /// Account bytes scanned through a non-scalar kernel into the

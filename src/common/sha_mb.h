@@ -53,7 +53,7 @@ void sha256_many_at(cpu::IsaLevel level, const ByteView* data, std::size_t n,
 /// caller's pointer. Views and output pointers must stay valid until the
 /// flush that covers them (the destructor flushes any remainder).
 ///
-/// Not thread-safe; each pipeline worker / ingest thread owns its batch.
+/// Not thread-safe; each ingest thread owns its batch.
 class FingerprintBatch {
  public:
   /// Default capacity: big enough to fill 8 lanes several times over (the
@@ -76,7 +76,7 @@ class FingerprintBatch {
 
   /// Sizes of every flush so far (including automatic ones) — the caller
   /// drains this into the `fingerprint.batch_size` histogram. Bounded by
-  /// the batch's lifetime (one stream / one pipeline run).
+  /// the batch's lifetime (one chunk_and_fingerprint call).
   const std::vector<std::uint32_t>& flush_sizes() const {
     return flush_sizes_;
   }

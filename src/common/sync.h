@@ -28,7 +28,7 @@
 // debug lock-order validator (sync.cpp) cross-checks the actual runtime
 // acquisition order of every ranked mutex against the same declaration.
 //
-// Lock-free code (SpscQueue, obs::Counter/Gauge) is outside this analysis;
+// Lock-free code (obs::Counter/Gauge) is outside this analysis;
 // its contract is documented at the atomic sites with the required
 // acquire/release pairs and checked dynamically by the TSan CI job.
 #pragma once

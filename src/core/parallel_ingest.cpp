@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <optional>
 #include <thread>
 
@@ -12,10 +11,9 @@
 #include "chunking/segmenter.h"
 #include "common/check.h"
 #include "common/fingerprint.h"
-#include "common/sha_mb.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
-#include "dedup/pipeline.h"
+#include "dedup/chunk_prep.h"
 #include "index/paged_index.h"
 #include "index/sharded_index.h"
 #include "obs/metrics.h"
@@ -86,13 +84,6 @@ ParallelIngestor::Stream::Stream(ParallelIngestor& ingestor, Recipe* recipe)
       recipe_(recipe),
       wall_start_(std::chrono::steady_clock::now()),
       sim_(ingestor.params_.disk),
-      // With pipeline workers the stream gets its own SPSC pipeline (run()
-      // is single-caller, so pipelines cannot be shared across streams).
-      pipeline_(ingestor.params_.pipeline_workers >= 1
-                    ? std::make_unique<StreamPipeline>(
-                          *ingestor.chunker_, ingestor.params_.pipeline_workers,
-                          ingestor.params_.batch_chunks)
-                    : nullptr),
       appender_(ingestor.store_.open_stream()) {
   st_.stream = ingestor.next_stream_id_.fetch_add(1, std::memory_order_relaxed);
   appender_.park();
@@ -147,31 +138,8 @@ StreamIngestStats ParallelIngestor::Stream::finish() {
 std::uint64_t ParallelIngestor::Stream::ingest(ByteView buf, bool final) {
   if (buf.empty()) return 0;
   ShardedPagedIndex& index = ingestor_.index_;
-  std::vector<StreamChunk> chunks;
-  if (pipeline_ != nullptr) {
-    chunks = pipeline_->run(buf);
-    if (!final) chunks.pop_back();
-  } else {
-    // Batched multi-buffer fingerprinting; boundaries first so the chunk
-    // vector is stable while the batch holds output pointers into it.
-    std::vector<ChunkRef> refs;
-    refs.reserve(buf.size() / ingestor_.params_.chunker.avg_size + 1);
-    ingestor_.chunker_->split_to(buf,
-                                 [&](const ChunkRef& r) { refs.push_back(r); });
-    if (!final) refs.pop_back();
-    chunks.resize(refs.size());
-    simd::FingerprintBatch batch;
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      chunks[i] = StreamChunk{Fingerprint{}, refs[i].offset, refs[i].size};
-      batch.add(buf.subspan(refs[i].offset, refs[i].size), &chunks[i].fp);
-    }
-    batch.flush();
-    // Ingest threads run concurrently: shard + merge, same as the pipeline.
-    obs::MetricsRegistry shard;
-    auto& hist = shard.histogram("fingerprint.batch_size");
-    for (const std::uint32_t s : batch.flush_sizes()) hist.observe(s);
-    obs::MetricsRegistry::global().merge_from(shard);
-  }
+  const std::vector<StreamChunk> chunks = chunk_and_fingerprint(
+      *ingestor_.chunker_, buf, /*hold_back_last=*/!final);
   st_.chunk_count += chunks.size();
 
   // Stream-ordered locations; pending duplicates get theirs at resolution.

@@ -28,8 +28,9 @@
 //  - Stream: the incremental form every other entry point runs through.
 //    Construct it at the start of a backup, feed() each piece of the byte
 //    stream as it arrives (a defrag-serve session feeds one BACKUP_DATA
-//    frame at a time), finish() at the end. feed() chunks the carried tail
-//    plus the new bytes and holds back the last chunk, which may still
+//    frame at a time), finish() at the end. feed() chunks and fingerprints
+//    the carried tail plus the new bytes (chunk_and_fingerprint, as the
+//    serial engines do) and holds back the last chunk, which may still
 //    grow; every chunker restarts its state at each chunk start, so the
 //    boundaries are bit-identical to chunking the whole stream at once and
 //    the carry never exceeds max_size. Feeds that leave the buffer within
@@ -59,7 +60,6 @@
 #include "chunking/chunker.h"
 #include "common/bytes.h"
 #include "common/fingerprint.h"
-#include "dedup/pipeline.h"
 #include "index/paged_index.h"
 #include "index/sharded_index.h"
 #include "storage/container_store.h"
@@ -76,11 +76,6 @@ struct ParallelIngestParams {
   PagedIndexParams index;
   /// Lock stripes in the shared index (power of two).
   std::size_t index_shards = ShardedPagedIndex::kDefaultShards;
-  /// Per-stream SPSC fingerprint pipeline workers; 0 = each stream chunks
-  /// and fingerprints synchronously on its own thread.
-  std::size_t pipeline_workers = 0;
-  /// Chunks per pipeline batch (when pipeline_workers >= 1).
-  std::size_t batch_chunks = 256;
   DiskModel disk;
   /// Combined chunking+fingerprinting rate used to charge simulated CPU.
   double cpu_mb_per_s = 220.0;
@@ -159,7 +154,6 @@ class ParallelIngestor {
     StreamIngestStats st_;
     /// Published-location lookups charged for pending duplicates.
     std::uint64_t charged_ = 0;
-    std::unique_ptr<StreamPipeline> pipeline_;
     ContainerStore::StreamAppender appender_;
     /// Bytes after the last consumed chunk boundary.
     Bytes carry_;

@@ -4,9 +4,8 @@
 #include "chunking/segmenter.h"
 #include "common/check.h"
 #include "common/fingerprint.h"
-#include "common/sha_mb.h"
 #include "common/units.h"
-#include "dedup/pipeline.h"
+#include "dedup/chunk_prep.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
@@ -51,12 +50,7 @@ EngineBase::EngineBase(const EngineConfig& cfg)
     : cfg_(cfg),
       chunker_(make_chunker(cfg.chunker_kind, cfg.chunker)),
       segmenter_(cfg.segmenter),
-      store_(cfg.container_bytes, cfg.compress_containers) {
-  if (cfg_.fingerprint_threads >= 1) {
-    pipeline_ =
-        std::make_unique<StreamPipeline>(*chunker_, cfg_.fingerprint_threads);
-  }
-}
+      store_(cfg.container_bytes, cfg.compress_containers) {}
 
 const std::string& EngineBase::metrics_prefix() {
   if (metrics_prefix_.empty()) {
@@ -93,28 +87,7 @@ std::vector<StreamChunk> EngineBase::prepare_chunks(ByteView stream) {
   const obs::TraceSpan span("prepare_chunks", "ingest");
   obs::ScopedTimer timer(
       obs::MetricsRegistry::global().histogram("stage.prepare_us"));
-  if (pipeline_) return pipeline_->run(stream);
-
-  // Collect the chunk boundaries first, then fingerprint them as one batch:
-  // the multi-buffer hashers want many independent messages at once, and the
-  // batch holds output pointers into `chunks`, so the vector must not grow
-  // between add() and flush().
-  std::vector<ChunkRef> refs;
-  refs.reserve(stream.size() / cfg_.chunker.avg_size + 1);
-  chunker_->split_to(stream, [&](const ChunkRef& r) { refs.push_back(r); });
-
-  std::vector<StreamChunk> chunks(refs.size());
-  simd::FingerprintBatch batch;
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    chunks[i] = StreamChunk{Fingerprint{}, refs[i].offset, refs[i].size};
-    batch.add(stream.subspan(refs[i].offset, refs[i].size), &chunks[i].fp);
-  }
-  batch.flush();
-  obs::MetricsRegistry shard;
-  auto& hist = shard.histogram("fingerprint.batch_size");
-  for (const std::uint32_t s : batch.flush_sizes()) hist.observe(s);
-  obs::MetricsRegistry::global().merge_from(shard);
-  return chunks;
+  return chunk_and_fingerprint(*chunker_, stream, /*hold_back_last=*/false);
 }
 
 void EngineBase::charge_compute(DiskSim& sim, std::uint64_t bytes) const {

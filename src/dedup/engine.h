@@ -24,7 +24,6 @@
 #include "chunking/chunker.h"
 #include "chunking/segmenter.h"
 #include "common/fingerprint.h"
-#include "dedup/pipeline.h"
 #include "index/paged_index.h"
 #include "storage/container_store.h"
 #include "storage/disk_model.h"
@@ -80,11 +79,6 @@ struct EngineConfig {
   /// that straddle segment boundaries (fewer spurious rewrites) at the cost
   /// of coarser decisions.
   std::size_t defrag_group_segments = 1;
-
-  /// Fingerprint worker threads for the SPSC-pipelined chunk preparation
-  /// path (wall-clock speedup only; simulated time is unaffected, and the
-  /// chunk sequence is bit-identical either way). 0 = synchronous.
-  std::size_t fingerprint_threads = 0;
 };
 
 /// Metrics of one ingested backup generation.
@@ -165,7 +159,8 @@ class EngineBase : public DedupEngine {
   }
 
  protected:
-  /// Chunk the stream and fingerprint every chunk (optionally in parallel).
+  /// Chunk the stream and fingerprint every chunk (chunk_and_fingerprint
+  /// under this engine's prepare_chunks span and stage.prepare_us timer).
   std::vector<StreamChunk> prepare_chunks(ByteView stream);
 
   /// Charge the CPU cost of chunking + fingerprinting `bytes`.
@@ -196,7 +191,6 @@ class EngineBase : public DedupEngine {
  private:
   std::unordered_set<Fingerprint> seen_;
   SegmentId next_segment_id_ = 0;
-  std::unique_ptr<StreamPipeline> pipeline_;
   std::string metrics_prefix_;
 };
 

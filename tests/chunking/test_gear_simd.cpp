@@ -1,6 +1,6 @@
-// Differential tests for the SIMD gear-scan kernels: every ISA level must be
-// bit-identical to the scalar reference at any region length, alignment and
-// mask — boundary index AND rolling-hash state.
+// Differential tests for the SIMD gear-scan kernel: AVX-512, the one wide
+// kernel, must be bit-identical to the scalar reference at any region
+// length, alignment and mask — boundary index AND rolling-hash state.
 #include "chunking/gear_simd.h"
 
 #include <gtest/gtest.h>
@@ -17,16 +17,10 @@ namespace {
 using simd::GearScanFn;
 using simd::kNoBoundary;
 
-const std::vector<cpu::IsaLevel>& wide_levels() {
-  static const std::vector<cpu::IsaLevel> levels = [] {
-    std::vector<cpu::IsaLevel> out;
-    for (cpu::IsaLevel level : {cpu::IsaLevel::kSse41, cpu::IsaLevel::kAvx2,
-                                cpu::IsaLevel::kAvx512}) {
-      if (level <= cpu::detected_isa_level()) out.push_back(level);
-    }
-    return out;
-  }();
-  return levels;
+/// The wide gear levels this host can run: AVX-512 or nothing.
+std::vector<cpu::IsaLevel> wide_levels() {
+  if (cpu::detected_isa_level() < cpu::IsaLevel::kAvx512) return {};
+  return {cpu::IsaLevel::kAvx512};
 }
 
 /// Masks spanning the interesting regimes: hit-everywhere, realistic FastCDC
@@ -38,11 +32,6 @@ const std::vector<std::uint64_t> kMasks = {
     0x0000d90003530000,   // realistic spread masks (avg 8 KiB family)
     0x0000d90103530000, 0x0000d90303530000,
     0xFFFFFFFFFFFFFFFF,   // effectively never hits
-};
-
-struct ScanCase {
-  std::size_t boundary_scalar;
-  std::uint64_t h_scalar;
 };
 
 void expect_identical(const Bytes& data, std::size_t pos, std::size_t end,
@@ -65,7 +54,7 @@ void expect_identical(const Bytes& data, std::size_t pos, std::size_t end,
 TEST(GearSimdTest, MatchesScalarOnRandomData) {
   const Bytes data = testing::random_bytes(1 << 16, 42);
   for (const std::uint64_t mask : kMasks) {
-    // Sweep the region start across all phases relative to the 16/32-byte
+    // Sweep the region start across all phases relative to the 32-byte
     // SIMD blocks, with region lengths crossing 0, sub-block, one-block and
     // many-block sizes.
     for (std::size_t pos = 0; pos < 70; ++pos) {
@@ -96,8 +85,8 @@ TEST(GearSimdTest, MatchesScalarOnAdversarialData) {
 
 TEST(GearSimdTest, BoundaryAtBlockEdges) {
   // Place the (deterministic) first boundary at every offset in [0, 96) from
-  // the region start, covering hits at the first/last byte of each 16- and
-  // 32-byte SIMD block, including the very last byte of the region.
+  // the region start, covering hits at the first/last byte of each 32-byte
+  // SIMD block, including the very last byte of the region.
   const Bytes data = testing::random_bytes(1 << 14, 7);
   const std::uint64_t* table = GearChunker::table().data();
   const std::uint64_t mask = 0xFF;

@@ -1,20 +1,18 @@
 // TSan-targeted stress tests for the concurrent substrate: ThreadPool,
-// SpscQueue, MetricsRegistry shard/merge and TraceRecorder emission.
+// MetricsRegistry shard/merge and TraceRecorder emission.
 //
 // These are correctness tests on every build, but their real job is under
 // -DDEFRAG_SANITIZE=thread in CI: they drive the exact access patterns the
-// thread-safety annotations (common/sync.h) and the SPSC memory-ordering
-// contract claim are safe, so a wrong relaxed/acquire/release choice or a
+// thread-safety annotations (common/sync.h) and the atomic memory-ordering
+// contracts claim are safe, so a wrong relaxed/acquire/release choice or a
 // missed lock shows up as a TSan report instead of a silent corruption.
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/spsc_queue.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -62,46 +60,6 @@ TEST(PipelineStress, ThreadPoolParallelForVisitsEachIndexOnce) {
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(visits[i].load(), 1u) << "index " << i;
   }
-}
-
-TEST(PipelineStress, SpscQueueTransfersEverythingInOrder) {
-  // One producer, one consumer, a deliberately tiny ring so both sides
-  // wrap and hit the full/empty edges constantly.
-  constexpr std::uint64_t kItems = 200000;
-  SpscQueue<std::uint64_t> q(64);
-
-  std::thread consumer([&] {
-    std::uint64_t expected = 0;
-    while (expected < kItems) {
-      auto v = q.try_pop();
-      if (!v) continue;
-      ASSERT_EQ(*v, expected);  // FIFO, nothing lost or duplicated
-      ++expected;
-    }
-  });
-  for (std::uint64_t i = 0; i < kItems; ++i) q.push(i);
-  consumer.join();
-  EXPECT_EQ(q.size_approx(), 0u);
-}
-
-TEST(PipelineStress, SpscQueueMovesOwningValues) {
-  // unique_ptr payloads: a publication bug would surface as ASan/TSan
-  // failures (use-after-free, double-free) rather than value mismatches.
-  constexpr int kItems = 20000;
-  SpscQueue<std::unique_ptr<int>> q(32);
-  std::int64_t got = 0;
-
-  std::thread consumer([&] {
-    for (int i = 0; i < kItems;) {
-      auto v = q.try_pop();
-      if (!v) continue;
-      got += **v;
-      ++i;
-    }
-  });
-  for (int i = 0; i < kItems; ++i) q.push(std::make_unique<int>(i));
-  consumer.join();
-  EXPECT_EQ(got, std::int64_t{kItems} * (kItems - 1) / 2);
 }
 
 TEST(PipelineStress, MetricsShardsMergeConcurrently) {

@@ -93,23 +93,6 @@ TEST(ParallelIngestTest, DisjointStreamsShareNothing) {
   EXPECT_GE(ingestor.store().container_count(), 1u);
 }
 
-TEST(ParallelIngestTest, PipelinedWorkersGiveIdenticalTotals) {
-  const Bytes data = testing::random_bytes(1 << 20, 504);
-  ParallelIngestParams sync_params;
-  ParallelIngestParams piped_params;
-  piped_params.pipeline_workers = 2;
-
-  ParallelIngestor sync_ingestor(sync_params);
-  ParallelIngestor piped_ingestor(piped_params);
-  const auto sync_res = sync_ingestor.ingest({ByteView(data), ByteView(data)});
-  const auto piped_res =
-      piped_ingestor.ingest({ByteView(data), ByteView(data)});
-
-  EXPECT_EQ(sync_res.unique_bytes, piped_res.unique_bytes);
-  EXPECT_EQ(sync_res.chunk_count, piped_res.chunk_count);
-  EXPECT_EQ(sync_ingestor.index().size(), piped_ingestor.index().size());
-}
-
 // kPending accounting: every duplicate resolved against an in-flight claim
 // is charged a published-location lookup post-join, and the
 // `dedup.parallel.pending_resolved` counter advances by exactly the number

@@ -1,9 +1,9 @@
 // Differential test: a ParallelIngestor::Stream fed piece by piece must
 // ingest exactly what ingest_stream() ingests from the whole buffer — the
 // same recipe (fingerprint and size sequence), chunk count, unique and
-// duplicate bytes — for every chunker, with and without pipeline workers,
-// at feed sizes around every carry edge (1 byte, under min_size, exactly
-// max_size, one past it, a whole 4 MiB frame) and at seeded random splits.
+// duplicate bytes — for every chunker, at feed sizes around every carry
+// edge (1 byte, under min_size, exactly max_size, one past it, a whole
+// 4 MiB frame) and at seeded random splits.
 // Boundaries depend on the dispatched gear kernel, so CI also runs this
 // suite with the scalar kernel forced.
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "chunking/chunker.h"
@@ -43,13 +42,11 @@ struct Outcome {
   std::uint64_t high_water = 0;
 };
 
-class StreamFeedTest
-    : public ::testing::TestWithParam<std::tuple<ChunkerKind, std::size_t>> {
+class StreamFeedTest : public ::testing::TestWithParam<ChunkerKind> {
  protected:
   ParallelIngestParams params() const {
     ParallelIngestParams p;
-    p.chunker_kind = std::get<0>(GetParam());
-    p.pipeline_workers = std::get<1>(GetParam());
+    p.chunker_kind = GetParam();
     return p;
   }
 
@@ -150,21 +147,23 @@ TEST_P(StreamFeedTest, EmptyFeedsAndEmptyStreamAreNoOps) {
   EXPECT_EQ(ingestor.index().pending_claims(), 0u);
 }
 
-std::string param_name(
-    const ::testing::TestParamInfo<std::tuple<ChunkerKind, std::size_t>>& p) {
-  std::string kind = "fixed";
-  if (std::get<0>(p.param) == ChunkerKind::kRabin) kind = "rabin";
-  if (std::get<0>(p.param) == ChunkerKind::kGear) kind = "gear";
-  return kind + "_workers" + std::to_string(std::get<1>(p.param));
+std::string param_name(const ::testing::TestParamInfo<ChunkerKind>& p) {
+  switch (p.param) {
+    case ChunkerKind::kRabin:
+      return "rabin";
+    case ChunkerKind::kGear:
+      return "gear";
+    case ChunkerKind::kFixed:
+      return "fixed";
+  }
+  return "unknown";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ChunkersAndWorkers, StreamFeedTest,
-    ::testing::Combine(::testing::Values(ChunkerKind::kRabin,
-                                         ChunkerKind::kGear,
-                                         ChunkerKind::kFixed),
-                       ::testing::Values(std::size_t{0}, std::size_t{2})),
-    param_name);
+INSTANTIATE_TEST_SUITE_P(Chunkers, StreamFeedTest,
+                         ::testing::Values(ChunkerKind::kRabin,
+                                           ChunkerKind::kGear,
+                                           ChunkerKind::kFixed),
+                         param_name);
 
 }  // namespace
 }  // namespace defrag

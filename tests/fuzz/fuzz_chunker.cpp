@@ -10,12 +10,12 @@
 //     on boundaries;
 //   - every chunk respects max_size, and every non-final chunk min_size;
 //   - split() is deterministic and identical to incremental split_to();
-//   - StreamPipeline at worker counts {1, 2} reproduces the synchronous
-//     chunk sequence exactly (offsets, sizes, fingerprints) — the
-//     pipelined fast path may not depend on data content to stay correct;
+//   - chunk_and_fingerprint(), the routine every ingest path runs, yields
+//     the same boundaries with each chunk's exact fingerprint, and
+//     hold_back_last drops only the final chunk;
 //   - the SIMD gear-scan dispatch is a pure performance knob: splitting
-//     with the ISA level pinned to scalar and to every wider level this
-//     host supports yields bit-identical boundaries on arbitrary content.
+//     with the ISA level pinned to scalar and to AVX-512 (when this host
+//     has it) yields bit-identical boundaries on arbitrary content.
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -25,18 +25,18 @@
 #include "common/bytes.h"
 #include "common/cpu.h"
 #include "common/fingerprint.h"
-#include "dedup/pipeline.h"
+#include "dedup/chunk_prep.h"
 #include "fuzz/fuzz_util.h"
 
 using defrag::ByteView;
 using defrag::Chunker;
 using defrag::ChunkerKind;
 using defrag::ChunkerParams;
+using defrag::chunk_and_fingerprint;
 using defrag::ChunkRef;
 using defrag::Fingerprint;
 using defrag::make_chunker;
 using defrag::StreamChunk;
-using defrag::StreamPipeline;
 
 namespace {
 
@@ -49,9 +49,6 @@ constexpr struct {
     {256, 1024, 4096},
     {64, 64, 64},  // degenerate: min == avg == max
 };
-
-/// Pipeline runs spawn threads per call; bound the differential's cost.
-constexpr std::size_t kMaxPipelineBytes = 64 << 10;
 
 void check_chunker(const Chunker& chunker, const ChunkerParams& params,
                    ByteView stream) {
@@ -81,34 +78,29 @@ void check_chunker(const Chunker& chunker, const ChunkerParams& params,
     FUZZ_ASSERT(incremental[i] == chunks[i]);
   }
 
-  // Pipelined vs synchronous differential at 1 and 2 workers.
-  if (stream.size() <= kMaxPipelineBytes) {
-    for (const std::size_t workers : {1u, 2u}) {
-      StreamPipeline pipeline(chunker, workers, /*batch_chunks=*/16,
-                              /*queue_batches=*/4);
-      const std::vector<StreamChunk> piped = pipeline.run(stream);
-      FUZZ_ASSERT(piped.size() == chunks.size());
-      for (std::size_t i = 0; i < chunks.size(); ++i) {
-        FUZZ_ASSERT(piped[i].stream_offset == chunks[i].offset);
-        FUZZ_ASSERT(piped[i].size == chunks[i].size);
-        const ByteView body = stream.subspan(chunks[i].offset, chunks[i].size);
-        FUZZ_ASSERT(piped[i].fp == Fingerprint::of(body));
-      }
-    }
+  // The shared chunk+fingerprint routine against split() + Fingerprint::of.
+  const std::vector<StreamChunk> prepared =
+      chunk_and_fingerprint(chunker, stream, /*hold_back_last=*/false);
+  FUZZ_ASSERT(prepared.size() == chunks.size());
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    FUZZ_ASSERT(prepared[i].stream_offset == chunks[i].offset);
+    FUZZ_ASSERT(prepared[i].size == chunks[i].size);
+    const ByteView body = stream.subspan(chunks[i].offset, chunks[i].size);
+    FUZZ_ASSERT(prepared[i].fp == Fingerprint::of(body));
   }
+  FUZZ_ASSERT(chunk_and_fingerprint(chunker, stream, /*hold_back_last=*/true)
+                  .size() == chunks.size() - 1);
 }
 
 /// SIMD-vs-scalar oracle: boundaries must not depend on the dispatched ISA
-/// level. Runs the same split with the level pinned to scalar and to every
-/// level the host supports.
+/// level. Runs the same split with the level pinned to scalar and, when the
+/// host has it, to AVX-512 (the only wide gear kernel).
 void check_simd_oracle(const Chunker& chunker, ByteView stream) {
-  defrag::cpu::force_isa_for_testing(defrag::cpu::IsaLevel::kScalar);
+  using defrag::cpu::IsaLevel;
+  defrag::cpu::force_isa_for_testing(IsaLevel::kScalar);
   const std::vector<ChunkRef> ref = chunker.split(stream);
-  for (const defrag::cpu::IsaLevel level :
-       {defrag::cpu::IsaLevel::kSse41, defrag::cpu::IsaLevel::kAvx2,
-        defrag::cpu::IsaLevel::kAvx512}) {
-    if (level > defrag::cpu::detected_isa_level()) break;
-    defrag::cpu::force_isa_for_testing(level);
+  if (defrag::cpu::detected_isa_level() >= IsaLevel::kAvx512) {
+    defrag::cpu::force_isa_for_testing(IsaLevel::kAvx512);
     const std::vector<ChunkRef> got = chunker.split(stream);
     FUZZ_ASSERT(got.size() == ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {

@@ -19,14 +19,10 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/fingerprint.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
-#include "service/persist.h"
 #include "service/protocol.h"
 #include "service/wire.h"
-#include "storage/catalog.h"
-#include "storage/recipe.h"
 
 namespace fs = std::filesystem;
 using namespace defrag;
@@ -161,32 +157,6 @@ void gen_protocol_response(const fs::path& dir) {
   write_seed(dir, "health_result.bin", encode(health));
 }
 
-void gen_persist(const fs::path& dir) {
-  {
-    Recipe recipe("gen-1");
-    SplitMix64 rng(0x5eedf00d);
-    for (std::uint32_t i = 0; i < 5; ++i) {
-      Fingerprint fp;
-      for (auto& b : fp.bytes) b = static_cast<std::uint8_t>(rng.next());
-      ChunkLocation loc;
-      loc.container = i / 2;
-      loc.offset = (i % 2) * 8192;
-      loc.size = 4096 + i;
-      recipe.add(fp, loc);
-    }
-    write_seed(dir, "recipe_small.bin", encode_recipe(recipe));
-  }
-  write_seed(dir, "recipe_empty.bin", encode_recipe(Recipe("empty")));
-  {
-    GenerationCatalog catalog;
-    catalog.add("/user/data/file_1", 0, 4096);
-    catalog.add("/user/data/file_2", 4096, 12288);
-    catalog.add("/user/data/sparse", 65536, 0);
-    write_seed(dir, "catalog_small.bin", encode_catalog(catalog));
-  }
-  write_seed(dir, "catalog_empty.bin", encode_catalog(GenerationCatalog{}));
-}
-
 void gen_metrics_json(const fs::path& dir) {
   write_seed(dir, "minimal.bin",
              from_string("{\"schema\": \"defrag.metrics.v1\", "
@@ -304,7 +274,6 @@ int main(int argc, char** argv) {
   gen_wire(out / "fuzz_wire");
   gen_protocol_request(out / "fuzz_protocol_request");
   gen_protocol_response(out / "fuzz_protocol_response");
-  gen_persist(out / "fuzz_persist");
   gen_metrics_json(out / "fuzz_metrics_json");
   gen_chunker(out / "fuzz_chunker");
   gen_sha_mb(out / "fuzz_sha_mb");

@@ -74,27 +74,6 @@ TEST_P(EnginePropertyTest, RecipeBytesMatchStreams) {
   }
 }
 
-TEST_P(EnginePropertyTest, ParallelFingerprintingChangesNothing) {
-  // EngineConfig::fingerprint_threads accelerates wall-clock only; every
-  // metric and the stored bytes must be bit-identical to the sync path.
-  auto sync_cfg = testing::small_engine_config();
-  auto par_cfg = sync_cfg;
-  par_cfg.fingerprint_threads = 3;
-
-  DedupSystem sync_sys(std::get<0>(GetParam()), sync_cfg);
-  DedupSystem par_sys(std::get<0>(GetParam()), par_cfg);
-  workload::SingleUserSeries sa(std::get<1>(GetParam()), fs());
-  workload::SingleUserSeries sb(std::get<1>(GetParam()), fs());
-  for (std::uint32_t g = 1; g <= 2; ++g) {
-    const BackupResult rs = sync_sys.ingest_as(g, sa.next().stream);
-    const BackupResult rp = par_sys.ingest_as(g, sb.next().stream);
-    EXPECT_EQ(rs.unique_bytes, rp.unique_bytes);
-    EXPECT_EQ(rs.removed_bytes, rp.removed_bytes);
-    EXPECT_EQ(rs.io.seeks, rp.io.seeks);
-    EXPECT_EQ(sync_sys.restore_bytes(g), par_sys.restore_bytes(g));
-  }
-}
-
 TEST_P(EnginePropertyTest, SeeksAreTheOnlySourceOfSeekTime) {
   DedupSystem sys(std::get<0>(GetParam()), testing::small_engine_config());
   workload::SingleUserSeries series(std::get<1>(GetParam()), fs());

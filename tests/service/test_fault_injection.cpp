@@ -2,7 +2,7 @@
 // (tools/throw_graph_lint.py enforces this pairing), proving the error
 // paths the throw-graph analyzer certifies statically are also *executed*
 // paths. Three layers:
-//   - substrate-direct: store/index/persist sites injected through their
+//   - substrate-direct: store/index sites injected through their
 //     public APIs, asserting the typed FailpointError surfaces and the
 //     object survives for a clean retry;
 //   - wire: frame send/recv sites injected on a socketpair, no server;
@@ -29,14 +29,13 @@
 #include "index/sharded_index.h"
 #include "obs/metrics.h"
 #include "service/client.h"
-#include "service/persist.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/socket.h"
 #include "service/wire.h"
+#include "storage/container.h"
 #include "storage/container_store.h"
 #include "storage/disk_model.h"
-#include "storage/recipe.h"
 #include "testing/data.h"
 
 namespace defrag::service {
@@ -145,26 +144,6 @@ TEST_F(FaultInjectionTest, IndexInsertFaultIsTypedAndRetryable) {
   EXPECT_THROW(index.insert(fp, value, sim), FailpointError);
   EXPECT_NO_THROW(index.insert(fp, value, sim));
   EXPECT_EQ(index.size(), 1u);
-}
-
-TEST_F(FaultInjectionTest, PersistFaultsAreTypedAndLeaveCodecUsable) {
-  const Bytes recipe_image = encode_recipe(Recipe("gen"));
-  const Bytes catalog_image = encode_catalog(GenerationCatalog{});
-
-  failpoint::arm("persist.encode_recipe", Action::kThrow);
-  EXPECT_THROW(encode_recipe(Recipe("gen")), FailpointError);
-  failpoint::arm("persist.decode_recipe", Action::kThrow);
-  EXPECT_THROW(decode_recipe(ByteView(recipe_image)), FailpointError);
-  failpoint::arm("persist.encode_catalog", Action::kThrow);
-  EXPECT_THROW(encode_catalog(GenerationCatalog{}), FailpointError);
-  failpoint::arm("persist.decode_catalog", Action::kThrow);
-  EXPECT_THROW(decode_catalog(ByteView(catalog_image)), FailpointError);
-
-  // One-shot armings are spent: the codecs round-trip again.
-  EXPECT_EQ(encode_recipe(decode_recipe(ByteView(recipe_image))),
-            recipe_image);
-  EXPECT_EQ(encode_catalog(decode_catalog(ByteView(catalog_image))),
-            catalog_image);
 }
 
 // ---- wire-layer injections (socketpair, no server, no races) ---------------

@@ -4,7 +4,7 @@
 //                       [--users 1] [--seed N] [--files N] [--verify]
 //                       [--scrub] [--gc-keep N]
 //                       [--metrics-json FILE] [--trace-out FILE]
-//                       [--parallel-ingest N [--pipeline-workers W]]
+//                       [--parallel-ingest N]
 //   defrag-cli trace    --generations 10 --out trace.dftr [--users 5]
 //   defrag-cli analyze  --in trace.dftr
 //   defrag-cli engines
@@ -18,8 +18,7 @@
 // writes a Chrome trace-event file loadable at https://ui.perfetto.dev.
 // `--parallel-ingest N` switches backup to the multi-stream ingest fast
 // path (N concurrent streams per wave; see core/parallel_ingest.h), with
-// `--pipeline-workers W` enabling each stream's SPSC fingerprint pipeline
-// and `--verify` restoring every generation from its per-stream recipe.
+// `--verify` restoring every generation from its per-stream recipe.
 // `trace` records the series' chunk sequence to a portable .dftr file;
 // `analyze` reports dedup statistics of any such file.
 //
@@ -83,9 +82,7 @@ int cmd_backup_parallel(const Args& args) {
   const std::string trace_path = args.get("trace-out", "");
   if (!trace_path.empty()) obs::TraceRecorder::global().enable();
 
-  ParallelIngestParams params;
-  params.pipeline_workers = args.get_size("pipeline-workers", 0);
-  ParallelIngestor ingestor(params);
+  ParallelIngestor ingestor;
 
   auto fs = cli::fs_from(args);
   workload::SingleUserSeries single(seed, fs);
@@ -137,8 +134,8 @@ int cmd_backup_parallel(const Args& args) {
     const RestoreOptions options;
     for (std::size_t i = 0; i < all_recipes.size(); ++i) {
       Bytes restored;
-      restore_with_strategy(ingestor.store(), all_recipes[i], params.disk,
-                            options, &restored);
+      restore_with_strategy(ingestor.store(), all_recipes[i],
+                            ingestor.params().disk, options, &restored);
       if (Sha256::hash(restored) != digests[i]) {
         std::fprintf(stderr, "VERIFY FAILED at generation %zu\n", i + 1);
         return 1;
@@ -389,7 +386,7 @@ int main(int argc, char** argv) {
                  "          [--users N] [--seed N] [--files N] [--verify]\n"
                  "          [--scrub] [--gc-keep N] [--metrics-json FILE]\n"
                  "          [--trace-out FILE]\n"
-                 "          [--parallel-ingest N [--pipeline-workers W]]\n");
+                 "          [--parallel-ingest N]\n");
     return 2;
   }
   if (args->command == "engines") return cmd_engines();

@@ -78,7 +78,7 @@ CPP_DIRS = ("src", "tests", "tools", "bench", "examples")
 # Metric-name roots the registry actually uses; doc tokens outside these
 # roots (file names, schema ids) are not metric claims.
 METRIC_ROOTS = ("engine.", "storage.", "index.", "dedup.", "stage.",
-                "pipeline.", "system.", "service.")
+                "system.", "service.")
 
 IWYU_SPOT = {
     "std::string": "<string>",

@@ -1,7 +1,7 @@
 // defrag-serve: the multi-tenant backup service daemon.
 //
 //   defrag-serve run --socket PATH [--max-sessions N] [--per-tenant N]
-//                    [--pipeline-workers W] [--index-shards N]
+//                    [--index-shards N]
 //                    [--log-level debug|info|warn|error|off] [--log-json]
 //                    [--slow-ms N] [--metrics-json FILE] [--trace-out FILE]
 //
@@ -51,8 +51,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: defrag-serve run --socket PATH [--max-sessions N]\n"
-      "                    [--per-tenant N] [--pipeline-workers W]\n"
-      "                    [--index-shards N]\n"
+      "                    [--per-tenant N] [--index-shards N]\n"
       "                    [--log-level debug|info|warn|error|off]\n"
       "                    [--log-json] [--slow-ms N]\n"
       "                    [--metrics-json FILE] [--trace-out FILE]\n");
@@ -90,7 +89,6 @@ int main(int argc, char** argv) {
   config.socket_path = args->get("socket", "/tmp/defrag-serve.sock");
   config.limits.max_sessions = args->get_size("max-sessions", 8);
   config.limits.max_sessions_per_tenant = args->get_size("per-tenant", 4);
-  config.ingest.pipeline_workers = args->get_size("pipeline-workers", 0);
   config.ingest.index_shards =
       args->get_size("index-shards", config.ingest.index_shards);
   config.slow_request_us = args->get_u64("slow-ms", 0) * 1000;

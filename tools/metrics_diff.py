@@ -14,7 +14,7 @@ change of its scalar value (counter value, gauge value, histogram mean).
 Changes whose magnitude exceeds --threshold (default 5%) on a watched
 metric are reported as regressions and make the tool exit 1, so it can
 gate CI. By default every "engine.*", "storage.*" and "index.*" metric is
-watched; wall-clock histograms ("system.*", "stage.*", "pipeline.*") are
+watched; wall-clock histograms ("system.*", "stage.*") are
 excluded because they measure the machine, not the algorithm. --watch
 overrides the watch list; --all prints unchanged metrics too.
 
