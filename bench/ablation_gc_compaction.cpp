@@ -30,7 +30,7 @@ int main() {
   for (std::uint32_t g = 1; g <= gens; ++g) {
     sys.ingest_as(g, series.next().stream);
   }
-  const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+  const auto& base = sys.engine();
 
   auto restore_rate = [&](const ContainerStore& store, const Recipe& recipe) {
     RestoreOptions opt;

@@ -36,7 +36,7 @@ int main() {
     for (std::uint32_t g = 1; g <= scale.single_user_generations; ++g) {
       sys.ingest_as(g, series.next().stream);
     }
-    const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+    const auto& base = sys.engine();
     const double dedup_x =
         static_cast<double>(sys.logical_bytes_ingested()) /
         static_cast<double>(base.stored_data_bytes());

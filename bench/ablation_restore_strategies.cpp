@@ -31,7 +31,7 @@ int main() {
     for (std::uint32_t g = 1; g <= scale.single_user_generations; ++g) {
       sys.ingest_as(g, series.next().stream);
     }
-    const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+    const auto& base = sys.engine();
     const Recipe& recipe =
         base.recipe_store().get(scale.single_user_generations);
 

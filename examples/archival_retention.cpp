@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t g = 1; g <= weeks; ++g) {
     sys.ingest_as(g, series.next().stream);
   }
-  const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+  const auto& base = sys.engine();
   std::printf("%u weekly backups ingested: %s logical, %s physical (%.2fx)\n",
               weeks, format_bytes(sys.logical_bytes_ingested()).c_str(),
               format_bytes(sys.stored_bytes()).c_str(),

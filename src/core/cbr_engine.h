@@ -9,6 +9,9 @@
 // duplicates are rewritten. CBR additionally caps rewritten bytes at a
 // fixed budget (default 5%) of the stream, bounding the compression loss
 // per backup regardless of how fragmented the stream is.
+//
+// Apart from that verdict and the budget, CBR runs exactly DeFrag's
+// placement: the two-pass loop in DdfsEngine::place_with_rewrites.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +36,13 @@ class CbrEngine final : public DdfsEngine {
 
   std::string name() const override { return "CBR-Like"; }
 
-  BackupResult backup(std::uint32_t generation, ByteView stream) override;
-
   const CbrParams& params() const { return params_; }
 
  private:
+  /// Run the shared rewrite loop with the utilization verdict and the
+  /// stream's rewrite budget.
+  void place(Generation& gen) override;
+
   CbrParams params_;
 };
 

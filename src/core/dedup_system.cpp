@@ -63,14 +63,12 @@ BackupResult DedupSystem::ingest_backup(const workload::Backup& backup) {
 FileRestoreResult DedupSystem::restore_file(std::uint32_t generation,
                                             const std::string& path,
                                             Bytes* out) {
-  const auto* base = dynamic_cast<const EngineBase*>(engine_.get());
-  DEFRAG_CHECK(base != nullptr);
   const auto entry = catalog_.get(generation).find(path);
   DEFRAG_CHECK_MSG(entry.has_value(), "unknown file path in catalog");
-  return ::defrag::restore_file(base->container_store(),
-                                base->recipe_store().get(generation), *entry,
-                                base->config().disk, out,
-                                base->config().restore_cache_containers);
+  return ::defrag::restore_file(engine_->container_store(),
+                                engine_->recipe_store().get(generation), *entry,
+                                engine_->config().disk, out,
+                                engine_->config().restore_cache_containers);
 }
 
 RestoreResult DedupSystem::restore(std::uint32_t generation) {
@@ -89,12 +87,10 @@ Bytes DedupSystem::restore_bytes(std::uint32_t generation,
 }
 
 std::uint64_t DedupSystem::stored_bytes() const {
-  // Every engine in this library derives from EngineBase. Physical bytes:
-  // identical to the raw post-dedup bytes unless container compression is
-  // on, in which case the local-compression savings show here too.
-  const auto* base = dynamic_cast<const EngineBase*>(engine_.get());
-  DEFRAG_CHECK(base != nullptr);
-  return base->stored_physical_bytes();
+  // Physical bytes: identical to the raw post-dedup bytes unless container
+  // compression is on, in which case the local-compression savings show
+  // here too.
+  return engine_->stored_physical_bytes();
 }
 
 double DedupSystem::compression_ratio() const {

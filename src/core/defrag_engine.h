@@ -19,6 +19,10 @@
 // Duplicates whose copy was written by the *current* backup are always kept:
 // they are already co-located with the stream.
 //
+// The two-pass loop that classifies, bins and emits is DdfsEngine's
+// place_with_rewrites, shared with CBR; this engine contributes the SPL
+// verdict per bin and the FGDEFRAG grouping of segments that runs first.
+//
 // Rewriting low-SPL duplicates keeps a segment's chunks co-located, so
 //  - future metadata prefetches cover more of the stream (throughput),
 //  - restores touch fewer containers (read bandwidth),
@@ -59,14 +63,16 @@ class DefragEngine final : public DdfsEngine {
 
   std::string name() const override { return "DeFrag"; }
 
-  BackupResult backup(std::uint32_t generation, ByteView stream) override;
-
   double alpha() const { return config().defrag_alpha; }
   const DefragDecisionStats& last_decision_stats() const {
     return decisions_;
   }
 
  private:
+  /// Group the segments (FGDEFRAG width) and run the shared rewrite loop
+  /// with the SPL verdict.
+  void place(Generation& gen) override;
+
   DefragDecisionStats decisions_;
 };
 

@@ -1,5 +1,5 @@
 // Chunk preparation: the one chunk-then-fingerprint routine every ingest
-// path runs (the serial engines through EngineBase::prepare_chunks, and
+// path runs (the serial engines through DedupEngine::prepare_chunks, and
 // each concurrent ParallelIngestor::Stream feed).
 //
 // Boundaries are collected first and fingerprinted as one multi-buffer

@@ -1,17 +1,18 @@
 #include "dedup/engine.h"
 
+#include <algorithm>
+
 #include "chunking/chunker.h"
 #include "chunking/segmenter.h"
-#include "common/check.h"
 #include "common/fingerprint.h"
 #include "common/units.h"
 #include "dedup/chunk_prep.h"
+#include "dedup/restore_strategies.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "storage/container.h"
 #include "storage/disk_model.h"
-#include "storage/lru_cache.h"
 #include "storage/recipe.h"
 
 namespace defrag {
@@ -46,20 +47,20 @@ std::string to_string(EngineKind kind) {
   return "unknown";
 }
 
-EngineBase::EngineBase(const EngineConfig& cfg)
+DedupEngine::DedupEngine(const EngineConfig& cfg)
     : cfg_(cfg),
       chunker_(make_chunker(cfg.chunker_kind, cfg.chunker)),
       segmenter_(cfg.segmenter),
       store_(cfg.container_bytes, cfg.compress_containers) {}
 
-const std::string& EngineBase::metrics_prefix() {
+const std::string& DedupEngine::metrics_prefix() {
   if (metrics_prefix_.empty()) {
     metrics_prefix_ = "engine." + obs::slug(name()) + ".";
   }
   return metrics_prefix_;
 }
 
-void EngineBase::record_backup_metrics(const BackupResult& res) {
+void DedupEngine::record_backup_metrics(const BackupResult& res) {
   auto& reg = obs::MetricsRegistry::global();
   const std::string& p = metrics_prefix();
   reg.counter(p + "backups").add(1);
@@ -83,58 +84,67 @@ void EngineBase::record_backup_metrics(const BackupResult& res) {
       .set(static_cast<double>(store_.total_data_bytes()));
 }
 
-std::vector<StreamChunk> EngineBase::prepare_chunks(ByteView stream) {
+std::vector<StreamChunk> DedupEngine::prepare_chunks(ByteView stream) {
   const obs::TraceSpan span("prepare_chunks", "ingest");
   obs::ScopedTimer timer(
       obs::MetricsRegistry::global().histogram("stage.prepare_us"));
   return chunk_and_fingerprint(*chunker_, stream, /*hold_back_last=*/false);
 }
 
-void EngineBase::charge_compute(DiskSim& sim, std::uint64_t bytes) const {
-  sim.compute(static_cast<double>(bytes) / 1e6 / cfg_.cpu_mb_per_s);
-}
-
-bool EngineBase::ground_truth_duplicate(const Fingerprint& fp) {
+bool DedupEngine::ground_truth_duplicate(const Fingerprint& fp) {
   return !seen_.insert(fp).second;
 }
 
-RestoreResult EngineBase::restore(std::uint32_t generation, Bytes* out) {
-  const obs::TraceSpan span("restore", "restore");
-  const Recipe& recipe = recipes_.get(generation);
+BackupResult DedupEngine::backup(std::uint32_t generation, ByteView stream) {
+  const obs::TraceSpan span("backup", "engine");
   DiskSim sim(cfg_.disk);
-  // Container-granularity read cache: turning spatial locality into fewer
-  // seeks is exactly the effect under study.
-  LruCache<ContainerId, char> cache(
-      std::max<std::size_t>(1, cfg_.restore_cache_containers));
-
-  RestoreResult res;
+  BackupResult res;
   res.generation = generation;
-  if (out) out->reserve(out->size() + recipe.logical_bytes());
+  res.logical_bytes = stream.size();
 
-  for (const RecipeEntry& e : recipe.entries()) {
-    const ChunkLocation& loc = e.location;
-    if (cache.get(loc.container) == nullptr) {
-      store_.load(loc.container, sim);  // seek + whole-container transfer
-      cache.put(loc.container, 0);
-      ++res.container_loads;
-    }
-    if (out) {
-      const ByteView bytes = store_.peek(loc.container).read(loc);
-      out->insert(out->end(), bytes.begin(), bytes.end());
-    }
-    res.logical_bytes += loc.size;
-  }
+  const std::vector<StreamChunk> chunks = prepare_chunks(stream);
+  sim.compute(static_cast<double>(stream.size()) / 1e6 / cfg_.cpu_mb_per_s);
+  res.chunk_count = chunks.size();
 
-  DEFRAG_CHECK_MSG(res.logical_bytes == recipe.logical_bytes(),
-                   "restore byte accounting mismatch");
-  res.cache_hit_rate = cache.hit_rate();
+  const std::vector<SegmentRef> segments = segmenter_.segment(chunks);
+  res.segment_count = segments.size();
+
+  Generation gen{stream, chunks, segments,
+                 recipes_.create(generation, name()), sim, res};
+  place(gen);
+  store_.flush();
+
   res.io = sim.stats();
   res.sim_seconds = sim.elapsed_seconds();
+  record_backup_metrics(res);
+  return res;
+}
 
+RestoreResult DedupEngine::restore(std::uint32_t generation, Bytes* out) {
+  const obs::TraceSpan span("restore", "restore");
+  const Recipe& recipe = recipes_.get(generation);
+  if (out) out->reserve(out->size() + recipe.logical_bytes());
+  // Container-granularity read cache: turning spatial locality into fewer
+  // seeks is exactly the effect under study.
+  RestoreOptions options;
+  options.strategy = RestoreStrategy::kContainerLru;
+  options.cache_containers = cfg_.restore_cache_containers;
+  RestoreResult res =
+      restore_with_strategy(store_, recipe, cfg_.disk, options, out);
+  res.generation = generation;
+
+  // The LRU inserts only on a miss, so its counters follow from the result:
+  // every container load is a miss, every other recipe entry a hit, and
+  // every miss past the capacity evicts.
+  const std::uint64_t misses = res.container_loads;
+  const std::uint64_t capacity =
+      std::max<std::size_t>(1, cfg_.restore_cache_containers);
   auto& reg = obs::MetricsRegistry::global();
-  reg.counter("storage.restore_cache.hits").add(cache.hits());
-  reg.counter("storage.restore_cache.misses").add(cache.misses());
-  reg.counter("storage.restore_cache.evictions").add(cache.evictions());
+  reg.counter("storage.restore_cache.hits")
+      .add(recipe.entries().size() - misses);
+  reg.counter("storage.restore_cache.misses").add(misses);
+  reg.counter("storage.restore_cache.evictions")
+      .add(misses > capacity ? misses - capacity : 0);
   reg.gauge("storage.restore_cache.last_hit_rate").set(res.cache_hit_rate);
   reg.histogram(metrics_prefix() + "restore_sim_ms")
       .observe(res.sim_seconds * 1e3);

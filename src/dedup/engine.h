@@ -1,9 +1,9 @@
-// Deduplication engine interface shared by DDFS-Like, SiLo-Like and DeFrag.
+// Deduplication engine skeleton shared by every engine in this library.
 //
 // An engine ingests backup streams generation by generation, placing unique
-// (and, for DeFrag, selectively rewritten duplicate) chunks into the shared
-// container store, and records a recipe per generation for restore. All I/O
-// costs are charged to a per-phase DiskSim, so every BackupResult /
+// (and, for DeFrag and CBR, selectively rewritten duplicate) chunks into the
+// shared container store, and records a recipe per generation for restore.
+// All I/O costs are charged to a per-phase DiskSim, so every BackupResult /
 // RestoreResult carries its own simulated time and operation counts.
 //
 // Time model (documented per DESIGN.md):
@@ -124,27 +124,32 @@ struct RestoreResult {
   double read_mb_s() const;
 };
 
+/// The engine skeleton every deduplication scheme in this library shares:
+/// chunk preparation, container store, recipes, ground-truth accounting,
+/// the per-generation backup frame and the restore path.
+///
+/// backup() owns the frame — trace span, DiskSim, chunking and
+/// fingerprinting (CPU charged at cfg.cpu_mb_per_s), segmentation, recipe
+/// creation, the final store flush and the per-generation metrics — and
+/// hands the prepared generation to one virtual hook, place(), where each
+/// scheme makes its placement decisions. DDFS, SiLo and Sparse Indexing
+/// each run their own single-pass loop there; DeFrag and CBR share the
+/// two-pass selective-rewrite loop of DdfsEngine (ddfs_engine.h).
 class DedupEngine {
  public:
+  explicit DedupEngine(const EngineConfig& cfg);
   virtual ~DedupEngine() = default;
 
   virtual std::string name() const = 0;
 
   /// Ingest one backup stream as `generation` (must be new and increasing).
-  virtual BackupResult backup(std::uint32_t generation, ByteView stream) = 0;
+  BackupResult backup(std::uint32_t generation, ByteView stream);
 
-  /// Reconstruct a generation. When `out` is non-null the restored bytes are
-  /// appended to it (integrity checks); either way the I/O is simulated.
-  virtual RestoreResult restore(std::uint32_t generation, Bytes* out) = 0;
-};
-
-/// Shared substrate: chunk preparation, container store, recipes, ground
-/// truth accounting and the restore path.
-class EngineBase : public DedupEngine {
- public:
-  explicit EngineBase(const EngineConfig& cfg);
-
-  RestoreResult restore(std::uint32_t generation, Bytes* out) override;
+  /// Reconstruct a generation through the container-LRU restore strategy
+  /// (cfg.restore_cache_containers). When `out` is non-null the restored
+  /// bytes are appended to it (integrity checks); either way the I/O is
+  /// simulated.
+  RestoreResult restore(std::uint32_t generation, Bytes* out);
 
   const EngineConfig& config() const { return cfg_; }
   const ContainerStore& container_store() const { return store_; }
@@ -159,12 +164,24 @@ class EngineBase : public DedupEngine {
   }
 
  protected:
-  /// Chunk the stream and fingerprint every chunk (chunk_and_fingerprint
-  /// under this engine's prepare_chunks span and stage.prepare_us timer).
-  std::vector<StreamChunk> prepare_chunks(ByteView stream);
+  /// One generation inside backup(): the stream, its fingerprinted chunks
+  /// and segments, the recipe being built, the DiskSim every I/O is charged
+  /// to, and the result whose byte counters place() fills in.
+  struct Generation {
+    ByteView stream;
+    const std::vector<StreamChunk>& chunks;
+    const std::vector<SegmentRef>& segments;
+    Recipe& recipe;
+    DiskSim& sim;
+    BackupResult& res;
+  };
 
-  /// Charge the CPU cost of chunking + fingerprinting `bytes`.
-  void charge_compute(DiskSim& sim, std::uint64_t bytes) const;
+  /// Placement hook, called once per backup() after the recipe is created
+  /// and before the store is flushed: resolve every chunk of `gen` to a
+  /// stored location, add it to the recipe in stream order, and attribute
+  /// its bytes (unique / removed / rewritten / missed, plus ground-truth
+  /// redundant). Scheme-specific per-backup metrics are published here too.
+  virtual void place(Generation& gen) = 0;
 
   /// Ground truth: true iff this fingerprint was seen in any earlier chunk
   /// (across all generations and earlier in this stream). Records it.
@@ -176,12 +193,6 @@ class EngineBase : public DedupEngine {
   /// name() on first use (so derived engines report under their own slug).
   const std::string& metrics_prefix();
 
-  /// Publish one generation's result into the process-wide MetricsRegistry
-  /// under metrics_prefix(): byte/chunk/segment counters, I/O counters, a
-  /// sim-time histogram and a last-throughput gauge. Every engine calls this
-  /// at the end of backup().
-  void record_backup_metrics(const BackupResult& res);
-
   EngineConfig cfg_;
   std::unique_ptr<Chunker> chunker_;
   Segmenter segmenter_;
@@ -189,6 +200,15 @@ class EngineBase : public DedupEngine {
   RecipeStore recipes_;
 
  private:
+  /// Chunk the stream and fingerprint every chunk (chunk_and_fingerprint
+  /// under the prepare_chunks span and stage.prepare_us timer).
+  std::vector<StreamChunk> prepare_chunks(ByteView stream);
+
+  /// Publish one generation's result into the process-wide MetricsRegistry
+  /// under metrics_prefix(): byte/chunk/segment counters, I/O counters, a
+  /// sim-time histogram and a last-throughput gauge.
+  void record_backup_metrics(const BackupResult& res);
+
   std::unordered_set<Fingerprint> seen_;
   SegmentId next_segment_id_ = 0;
   std::string metrics_prefix_;

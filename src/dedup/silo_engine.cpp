@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "dedup/engine.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "storage/container.h"
 #include "storage/disk_model.h"
 #include "storage/recipe.h"
@@ -57,7 +56,7 @@ const ChunkLocation* BlockCache::find(const Fingerprint& fp) {
 }
 
 SiloEngine::SiloEngine(const EngineConfig& cfg)
-    : EngineBase(cfg), cache_(cfg.silo_block_cache_blocks) {
+    : DedupEngine(cfg), cache_(cfg.silo_block_cache_blocks) {
   open_block_.id = next_block_id_;
 }
 
@@ -87,31 +86,17 @@ void SiloEngine::seal_open_block() {
   open_block_segments_ = 0;
 }
 
-BackupResult SiloEngine::backup(std::uint32_t generation, ByteView stream) {
-  const obs::TraceSpan span("backup", "engine");
-  DiskSim sim(cfg_.disk);
-  BackupResult res;
-  res.generation = generation;
-  res.logical_bytes = stream.size();
-
-  const std::vector<StreamChunk> chunks = prepare_chunks(stream);
-  charge_compute(sim, stream.size());
-  res.chunk_count = chunks.size();
-
-  const std::vector<SegmentRef> segments = segmenter_.segment(chunks);
-  res.segment_count = segments.size();
+void SiloEngine::place(Generation& gen) {
+  BackupResult& res = gen.res;
   decisions_ = SiloDecisionStats{};
-
-  Recipe& recipe = recipes_.create(generation, name());
-
-  for (const SegmentRef& seg : segments) {
+  for (const SegmentRef& seg : gen.segments) {
     const SegmentId seg_id = allocate_segment_id();
     ++decisions_.segments;
 
     // Similarity detection: probe the representative fingerprint(s) and load
     // each distinct similar block not already cached.
     const std::vector<Fingerprint> reps =
-        representative_sample(chunks, seg, cfg_.silo_probe_reps);
+        representative_sample(gen.chunks, seg, cfg_.silo_probe_reps);
     bool any_rep_hit = false;
     for (const Fingerprint& rep : reps) {
       const std::optional<BlockId> block = similarity_.find(rep);
@@ -120,8 +105,8 @@ BackupResult SiloEngine::backup(std::uint32_t generation, ByteView stream) {
       if (*block == open_block_.id) continue;
       if (!cache_.contains_block(*block)) {
         const BlockRecord& record = blocks_.at(*block);
-        sim.seek();
-        sim.read(record.metadata_bytes());
+        gen.sim.seek();
+        gen.sim.read(record.metadata_bytes());
         cache_.insert(record);
         ++decisions_.block_loads;
       }
@@ -133,7 +118,7 @@ BackupResult SiloEngine::backup(std::uint32_t generation, ByteView stream) {
     }
 
     for (std::size_t i = seg.first; i < seg.last; ++i) {
-      const StreamChunk& c = chunks[i];
+      const StreamChunk& c = gen.chunks[i];
       const bool truly_dup = ground_truth_duplicate(c.fp);
       if (truly_dup) res.redundant_bytes += c.size;
 
@@ -153,8 +138,8 @@ BackupResult SiloEngine::backup(std::uint32_t generation, ByteView stream) {
         res.removed_bytes += c.size;
         if (!any_rep_hit) ++decisions_.rescued_chunks;
       } else {
-        const ByteView data = stream.subspan(c.stream_offset, c.size);
-        loc = store_.append(c.fp, data, seg_id, sim);
+        const ByteView data = gen.stream.subspan(c.stream_offset, c.size);
+        loc = store_.append(c.fp, data, seg_id, gen.sim);
         if (truly_dup) {
           res.missed_dup_bytes += c.size;  // near-exact: a dup slipped by
         } else {
@@ -162,7 +147,7 @@ BackupResult SiloEngine::backup(std::uint32_t generation, ByteView stream) {
         }
       }
 
-      recipe.add(c.fp, loc);
+      gen.recipe.add(c.fp, loc);
       // The block records *all* of the segment's chunks with resolved
       // locations, so a future similar segment dedups even the parts this
       // one deduplicated.
@@ -170,26 +155,18 @@ BackupResult SiloEngine::backup(std::uint32_t generation, ByteView stream) {
       open_block_map_.insert_or_assign(c.fp, loc);
     }
 
-    open_block_reps_.push_back(representative_fingerprint(chunks, seg));
+    open_block_reps_.push_back(representative_fingerprint(gen.chunks, seg));
     if (++open_block_segments_ >= cfg_.silo_segments_per_block) {
       seal_open_block();
     }
   }
   seal_open_block();
-  store_.flush();
-
-  res.io = sim.stats();
-  res.sim_seconds = sim.elapsed_seconds();
-  {
-    auto& reg = obs::MetricsRegistry::global();
-    const std::string& p = metrics_prefix();
-    reg.counter(p + "rep_hits").add(decisions_.rep_hits);
-    reg.counter(p + "rep_misses").add(decisions_.rep_misses);
-    reg.counter(p + "block_loads").add(decisions_.block_loads);
-    reg.counter(p + "rescued_chunks").add(decisions_.rescued_chunks);
-  }
-  record_backup_metrics(res);
-  return res;
+  auto& reg = obs::MetricsRegistry::global();
+  const std::string& p = metrics_prefix();
+  reg.counter(p + "rep_hits").add(decisions_.rep_hits);
+  reg.counter(p + "rep_misses").add(decisions_.rep_misses);
+  reg.counter(p + "block_loads").add(decisions_.block_loads);
+  reg.counter(p + "rescued_chunks").add(decisions_.rescued_chunks);
 }
 
 }  // namespace defrag

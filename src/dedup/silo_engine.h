@@ -79,19 +79,19 @@ struct SiloDecisionStats {
   std::uint64_t rescued_chunks = 0;  // dups found in cache despite rep miss
 };
 
-class SiloEngine : public EngineBase {
+class SiloEngine : public DedupEngine {
  public:
   explicit SiloEngine(const EngineConfig& cfg);
 
   std::string name() const override { return "SiLo-Like"; }
-
-  BackupResult backup(std::uint32_t generation, ByteView stream) override;
 
   const SimilarityIndex& similarity_index() const { return similarity_; }
   std::size_t stored_blocks() const { return blocks_.size(); }
   const SiloDecisionStats& last_decision_stats() const { return decisions_; }
 
  private:
+  void place(Generation& gen) override;
+
   /// Seal the open block: register its segments' representatives, persist
   /// the record, and keep it cached (it was just written — SiLo's locality).
   void seal_open_block();

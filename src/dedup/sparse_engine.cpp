@@ -8,7 +8,6 @@
 #include "dedup/engine.h"
 #include "index/similarity_index.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "storage/container.h"
 #include "storage/disk_model.h"
 #include "storage/recipe.h"
@@ -17,7 +16,7 @@ namespace defrag {
 
 SparseEngine::SparseEngine(const EngineConfig& cfg,
                            const SparseIndexingParams& params)
-    : EngineBase(cfg), params_(params) {
+    : DedupEngine(cfg), params_(params) {
   DEFRAG_CHECK(params_.sample_bits <= 20);
   DEFRAG_CHECK(params_.max_champions >= 1);
   DEFRAG_CHECK(params_.max_segments_per_hook >= 1);
@@ -57,37 +56,23 @@ std::vector<SegmentId> SparseEngine::elect_champions(
   return champions;
 }
 
-BackupResult SparseEngine::backup(std::uint32_t generation, ByteView stream) {
-  const obs::TraceSpan span("backup", "engine");
-  DiskSim sim(cfg_.disk);
-  BackupResult res;
-  res.generation = generation;
-  res.logical_bytes = stream.size();
+void SparseEngine::place(Generation& gen) {
+  BackupResult& res = gen.res;
   decisions_ = SparseDecisionStats{};
-
-  const std::vector<StreamChunk> chunks = prepare_chunks(stream);
-  charge_compute(sim, stream.size());
-  res.chunk_count = chunks.size();
-
-  const std::vector<SegmentRef> segments = segmenter_.segment(chunks);
-  res.segment_count = segments.size();
-
-  Recipe& recipe = recipes_.create(generation, name());
-
-  for (const SegmentRef& seg : segments) {
+  for (const SegmentRef& seg : gen.segments) {
     const SegmentId seg_id = allocate_segment_id();
     ++decisions_.segments;
 
     // Champion election + manifest loads (the only lookup I/O this scheme
     // ever pays: no Bloom filter, no full index).
-    const std::vector<SegmentId> champions = elect_champions(chunks, seg);
+    const std::vector<SegmentId> champions = elect_champions(gen.chunks, seg);
     if (champions.empty()) ++decisions_.segments_without_champion;
 
     std::unordered_map<Fingerprint, ChunkLocation> candidate;
     for (SegmentId champ : champions) {
       const SegmentManifest& m = manifests_.at(champ);
-      sim.seek();
-      sim.read(m.metadata_bytes());
+      gen.sim.seek();
+      gen.sim.read(m.metadata_bytes());
       ++decisions_.manifests_loaded;
       for (const auto& [fp, loc] : m.entries) candidate.emplace(fp, loc);
     }
@@ -97,7 +82,7 @@ BackupResult SparseEngine::backup(std::uint32_t generation, ByteView stream) {
     manifest.entries.reserve(seg.chunk_count());
 
     for (std::size_t i = seg.first; i < seg.last; ++i) {
-      const StreamChunk& c = chunks[i];
+      const StreamChunk& c = gen.chunks[i];
       const bool truly_dup = ground_truth_duplicate(c.fp);
       if (truly_dup) res.redundant_bytes += c.size;
 
@@ -107,8 +92,8 @@ BackupResult SparseEngine::backup(std::uint32_t generation, ByteView stream) {
         loc = it->second;
         res.removed_bytes += c.size;
       } else {
-        const ByteView data = stream.subspan(c.stream_offset, c.size);
-        loc = store_.append(c.fp, data, seg_id, sim);
+        const ByteView data = gen.stream.subspan(c.stream_offset, c.size);
+        loc = store_.append(c.fp, data, seg_id, gen.sim);
         if (truly_dup) {
           res.missed_dup_bytes += c.size;
         } else {
@@ -118,7 +103,7 @@ BackupResult SparseEngine::backup(std::uint32_t generation, ByteView stream) {
         candidate.emplace(c.fp, loc);
       }
 
-      recipe.add(c.fp, loc);
+      gen.recipe.add(c.fp, loc);
       manifest.entries.emplace_back(c.fp, loc);
 
       if (is_hook(c.fp)) {
@@ -130,7 +115,7 @@ BackupResult SparseEngine::backup(std::uint32_t generation, ByteView stream) {
       }
     }
     // Register the guaranteed hook (see elect_champions).
-    auto& rep_list = hooks_[representative_fingerprint(chunks, seg)];
+    auto& rep_list = hooks_[representative_fingerprint(gen.chunks, seg)];
     if (rep_list.empty() || rep_list.front() != seg_id) {
       rep_list.insert(rep_list.begin(), seg_id);
       if (rep_list.size() > params_.max_segments_per_hook) rep_list.pop_back();
@@ -138,22 +123,14 @@ BackupResult SparseEngine::backup(std::uint32_t generation, ByteView stream) {
 
     manifests_.emplace(seg_id, std::move(manifest));
     // Manifest writes are sequential log appends.
-    sim.write_behind(manifests_.at(seg_id).metadata_bytes());
+    gen.sim.write_behind(manifests_.at(seg_id).metadata_bytes());
   }
-  store_.flush();
-
-  res.io = sim.stats();
-  res.sim_seconds = sim.elapsed_seconds();
-  {
-    auto& reg = obs::MetricsRegistry::global();
-    const std::string& p = metrics_prefix();
-    reg.counter(p + "manifests_loaded").add(decisions_.manifests_loaded);
-    reg.counter(p + "segments_without_champion")
-        .add(decisions_.segments_without_champion);
-    reg.counter(p + "hooks").add(decisions_.hook_count);
-  }
-  record_backup_metrics(res);
-  return res;
+  auto& reg = obs::MetricsRegistry::global();
+  const std::string& p = metrics_prefix();
+  reg.counter(p + "manifests_loaded").add(decisions_.manifests_loaded);
+  reg.counter(p + "segments_without_champion")
+      .add(decisions_.segments_without_champion);
+  reg.counter(p + "hooks").add(decisions_.hook_count);
 }
 
 }  // namespace defrag

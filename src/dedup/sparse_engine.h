@@ -51,19 +51,19 @@ struct SparseDecisionStats {
   std::uint64_t hook_count = 0;
 };
 
-class SparseEngine : public EngineBase {
+class SparseEngine : public DedupEngine {
  public:
   explicit SparseEngine(const EngineConfig& cfg,
                         const SparseIndexingParams& params = {});
 
   std::string name() const override { return "Sparse-Indexing"; }
 
-  BackupResult backup(std::uint32_t generation, ByteView stream) override;
-
   const SparseDecisionStats& last_decision_stats() const { return decisions_; }
   std::uint64_t sparse_index_entries() const { return hooks_.size(); }
 
  private:
+  void place(Generation& gen) override;
+
   bool is_hook(const Fingerprint& fp) const {
     return (fp.prefix64() & ((1ull << params_.sample_bits) - 1)) == 0;
   }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -84,6 +85,19 @@ void SessionScheduler::release(const std::string& tenant) {
   --admitted_;
 }
 
+bool SessionScheduler::enter_backup(int fd) {
+  MutexLock lock(mu_);
+  if (draining_) return false;
+  in_backup_.insert(fd);
+  return true;
+}
+
+bool SessionScheduler::leave_backup(int fd) {
+  MutexLock lock(mu_);
+  in_backup_.erase(fd);
+  return draining_;
+}
+
 void SessionScheduler::drain() {
   std::vector<std::thread> to_join;
   {
@@ -95,8 +109,12 @@ void SessionScheduler::drain() {
     }
     draining_ = true;
     // SHUT_RD, not RDWR: a session mid-operation finishes it and writes
-    // its response; only its *next* blocking read sees EOF.
-    for (auto& [id, conn] : conns_) ::shutdown(conn.fd, SHUT_RD);
+    // its response; only its *next* blocking read sees EOF. A session
+    // inside a backup still has frames to read; it stops by itself once it
+    // has answered BACKUP_DONE (leave_backup reports the drain).
+    for (auto& [id, conn] : conns_) {
+      if (!in_backup_.contains(conn.fd)) ::shutdown(conn.fd, SHUT_RD);
+    }
     while (!conns_.empty()) idle_cv_.wait(mu_);
     to_join.swap(finished_);
     drained_ = true;

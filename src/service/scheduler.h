@@ -12,11 +12,15 @@
 //     into ParallelIngestor::ingest_stream() / the restore path; the
 //     scheduler only bounds how many are in flight, it never serializes
 //     the data plane.
-//  3. Drain — drain() stops new launches, nudges every blocked session off
-//     its socket read (shutdown(SHUT_RD): an in-flight operation still
-//     completes and writes its response), then joins every session thread.
-//     After drain() returns no session thread exists (the TSan shutdown
-//     tests hang on anything less).
+//  3. Drain — drain() stops new launches, nudges every session that is not
+//     inside a backup off its socket read (shutdown(SHUT_RD): an in-flight
+//     operation still completes and writes its response), then joins every
+//     session thread. A backup spans many frames, so a session inside one
+//     keeps reading until BACKUP_END, answers BACKUP_DONE and only then
+//     stops; a client that stalls mid-backup therefore holds the drain, as
+//     a client that stops reading a restore already does. After drain()
+//     returns no session thread exists (the TSan shutdown tests hang on
+//     anything less).
 //
 // Lock rank kServiceScheduler (2): the outermost lock of the daemon. A
 // session thread acquires it only in launch bookkeeping, admit/release and
@@ -27,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,10 +71,19 @@ class SessionScheduler {
   Admission admit(const std::string& tenant);
   void release(const std::string& tenant);
 
-  /// Stop new launches, shutdown(SHUT_RD) every live session's socket,
-  /// join every session thread. Idempotent; safe to call with sessions
-  /// mid-operation (they finish the operation first — their next read
-  /// returns EOF).
+  /// Mark the session on `fd` as inside a backup (it has read
+  /// BACKUP_BEGIN), so drain() leaves its read side open until the backup
+  /// ends. Returns false when draining: the drain already shut the read
+  /// side, so the backup's frames could never arrive.
+  bool enter_backup(int fd);
+  /// The backup on `fd` completed or died. Returns true when draining: the
+  /// session must stop reading (drain skipped its SHUT_RD). Idempotent.
+  bool leave_backup(int fd);
+
+  /// Stop new launches, shutdown(SHUT_RD) the socket of every live session
+  /// not inside a backup, join every session thread. Idempotent; safe to
+  /// call with sessions mid-operation (they finish the operation first —
+  /// their next read returns EOF, or they stop after BACKUP_DONE).
   void drain();
 
   /// Join threads of sessions that already finished (accept-loop
@@ -100,6 +114,8 @@ class SessionScheduler {
   bool drained_ DEFRAG_GUARDED_BY(mu_) = false;
   std::uint64_t next_id_ DEFRAG_GUARDED_BY(mu_) = 0;
   std::map<std::uint64_t, Conn> conns_ DEFRAG_GUARDED_BY(mu_);
+  /// Fds of sessions between BACKUP_BEGIN and the end of that backup.
+  std::set<int> in_backup_ DEFRAG_GUARDED_BY(mu_);
   /// Threads whose session body returned; joinable by any reaper.
   std::vector<std::thread> finished_ DEFRAG_GUARDED_BY(mu_);
   std::size_t admitted_ DEFRAG_GUARDED_BY(mu_) = 0;

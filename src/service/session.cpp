@@ -84,6 +84,7 @@ void Session::run() {
   // An unfinished backup dies with its session: its containers seal and
   // nothing is committed.
   backup_.reset();
+  env_.scheduler.leave_backup(conn_.fd());
   if (admitted_) {
     flush_metrics();
     env_.scheduler.release(tenant_);
@@ -177,6 +178,9 @@ bool Session::handle(ByteView payload) {
     case FrameType::kBackupBegin: {
       if (backup_.has_value()) throw WireError("BACKUP_BEGIN inside a backup");
       const BackupBeginRequest req = parse_backup_begin(body);
+      // A drain that began before this frame was read has already shut
+      // this connection's read side: the backup's data could never arrive.
+      if (!env_.scheduler.enter_backup(conn_.fd())) return false;
       backup_.emplace(env_.ingestor, req.label.empty() ? tenant_ : req.label);
       send(encode_empty(FrameType::kOk));
       return true;
@@ -280,7 +284,9 @@ bool Session::do_backup_end() {
   backup_.reset();  // ends the service.backup span
   send(encode(resp));
   record_request("backup", start);
-  return true;
+  // The drain left this connection readable for the backup's frames; once
+  // BACKUP_DONE is out, stop reading as the drain asked.
+  return !env_.scheduler.leave_backup(conn_.fd());
 }
 
 bool Session::do_restore(const RestoreRequest& req) {

@@ -27,6 +27,9 @@
 //    tenant's namespace. Between frames the stream's open container is
 //    parked, so a restore that needs it seals it instead of waiting for
 //    this client. A backup that fails or is abandoned commits nothing.
+//    From BACKUP_BEGIN to the end of the backup the session is marked
+//    inside a backup in the SessionScheduler, so a drain lets it read the
+//    rest of its frames; it stops reading after BACKUP_DONE.
 //  - RESTORE fetches the recipe, waits for every container it references
 //    to be *sealed* (ContainerStore::wait_sealed — the barrier that makes
 //    restoring concurrently with other tenants' in-flight backups

@@ -2,31 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "common/sha256.h"
 #include "testing/data.h"
 #include "testing/engine_config.h"
 
 namespace defrag {
 namespace {
-
-/// Same fragmented-followup construction as the DeFrag tests: slivers of an
-/// old stream interleaved with fresh data.
-Bytes fragmented_followup(const Bytes& old_stream, std::uint64_t seed) {
-  Bytes out;
-  out.reserve(old_stream.size());
-  Xoshiro256 rng(seed);
-  std::size_t old_pos = 0;
-  while (old_pos + 8192 <= old_stream.size()) {
-    out.insert(out.end(),
-               old_stream.begin() + static_cast<std::ptrdiff_t>(old_pos),
-               old_stream.begin() + static_cast<std::ptrdiff_t>(old_pos + 8192));
-    old_pos += 8192 + 24576;
-    const std::size_t base = out.size();
-    out.resize(base + 24576);
-    rng.fill(MutableByteView{out.data() + base, 24576});
-  }
-  return out;
-}
 
 TEST(CbrEngineTest, ZeroThresholdNeverRewrites) {
   auto cfg = testing::small_engine_config();
@@ -35,7 +15,8 @@ TEST(CbrEngineTest, ZeroThresholdNeverRewrites) {
   CbrEngine engine(cfg, p);
   const Bytes s1 = testing::random_bytes(512 * 1024, 180);
   engine.backup(1, s1);
-  const BackupResult r = engine.backup(2, fragmented_followup(s1, 181));
+  const BackupResult r =
+      engine.backup(2, testing::fragmented_followup(s1, 181));
   EXPECT_EQ(r.rewritten_bytes, 0u);
   EXPECT_EQ(r.removed_bytes, r.redundant_bytes);
   testing::expect_accounting_consistent(r);
@@ -49,7 +30,7 @@ TEST(CbrEngineTest, FragmentedDuplicatesGetRewrittenWithinBudget) {
   CbrEngine engine(cfg, p);
   const Bytes s1 = testing::random_bytes(1 << 20, 182);
   engine.backup(1, s1);
-  const Bytes s2 = fragmented_followup(s1, 183);
+  const Bytes s2 = testing::fragmented_followup(s1, 183);
   const BackupResult r = engine.backup(2, s2);
 
   EXPECT_GT(r.rewritten_bytes, 0u);
@@ -72,40 +53,6 @@ TEST(CbrEngineTest, BudgetCapsRewritesEvenAtExtremeThreshold) {
   EXPECT_LE(r.rewritten_bytes,
             static_cast<std::uint64_t>(static_cast<double>(s1.size()) * 0.02) +
                 cfg.chunker.max_size);
-}
-
-TEST(CbrEngineTest, RestoreLosslessWithRewrites) {
-  auto cfg = testing::small_engine_config();
-  CbrParams p;
-  p.utilization_threshold = 0.5;
-  p.rewrite_budget = 0.2;
-  CbrEngine engine(cfg, p);
-  const Bytes s1 = testing::random_bytes(1 << 20, 185);
-  const Bytes s2 = fragmented_followup(s1, 186);
-  engine.backup(1, s1);
-  engine.backup(2, s2);
-
-  Bytes r1, r2;
-  engine.restore(1, &r1);
-  engine.restore(2, &r2);
-  EXPECT_EQ(Sha256::hash(r1), Sha256::hash(s1));
-  EXPECT_EQ(Sha256::hash(r2), Sha256::hash(s2));
-}
-
-TEST(CbrEngineTest, FreshContainersAreNeverRewritten) {
-  auto cfg = testing::small_engine_config();
-  CbrParams p;
-  p.utilization_threshold = 1.1;
-  p.rewrite_budget = 1.0;
-  CbrEngine engine(cfg, p);
-  // A stream with heavy internal repetition: all duplicate copies live in
-  // containers created during this same backup -> no rewrites at all.
-  const Bytes unit = testing::random_bytes(128 * 1024, 187);
-  Bytes stream;
-  for (int i = 0; i < 4; ++i) stream.insert(stream.end(), unit.begin(), unit.end());
-  const BackupResult r = engine.backup(1, stream);
-  EXPECT_EQ(r.rewritten_bytes, 0u);
-  EXPECT_GT(r.removed_bytes, 0u);
 }
 
 TEST(CbrEngineTest, FactoryBuildsIt) {

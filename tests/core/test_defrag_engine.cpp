@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/sha256.h"
 #include "dedup/ddfs_engine.h"
 #include "testing/data.h"
 #include "testing/engine_config.h"
@@ -10,36 +9,13 @@
 namespace defrag {
 namespace {
 
-/// A stream whose duplicates are deliberately scattered: interleave slices
-/// of an old stream (stored long ago, in many containers) with new data, a
-/// little of each — every incoming segment then shares only a sliver with
-/// any one stored segment, which is exactly the low-SPL regime.
-Bytes fragmented_followup(const Bytes& old_stream, std::uint64_t seed) {
-  Bytes out;
-  out.reserve(old_stream.size());
-  Xoshiro256 rng(seed);
-  std::size_t old_pos = 0;
-  while (old_pos + 8192 <= old_stream.size()) {
-    // A small duplicated sliver...
-    out.insert(out.end(), old_stream.begin() + static_cast<std::ptrdiff_t>(old_pos),
-               old_stream.begin() + static_cast<std::ptrdiff_t>(old_pos + 8192));
-    old_pos += 8192 + 24576;  // skip far ahead in the old stream
-    // ...followed by a run of new data.
-    const std::size_t fresh = 24576;
-    const std::size_t base = out.size();
-    out.resize(base + fresh);
-    rng.fill(MutableByteView{out.data() + base, fresh});
-  }
-  return out;
-}
-
 TEST(DefragEngineTest, AlphaZeroIsExactDedup) {
   auto cfg = testing::small_engine_config();
   cfg.defrag_alpha = 0.0;
   DefragEngine engine(cfg);
   const Bytes s1 = testing::random_bytes(512 * 1024, 140);
   engine.backup(1, s1);
-  const Bytes s2 = fragmented_followup(s1, 141);
+  const Bytes s2 = testing::fragmented_followup(s1, 141);
   const BackupResult r = engine.backup(2, s2);
 
   // SPL < 0 is impossible: nothing is ever rewritten.
@@ -82,7 +58,7 @@ TEST(DefragEngineTest, FragmentedDuplicatesGetRewritten) {
   DefragEngine engine(cfg);
   const Bytes s1 = testing::random_bytes(1 << 20, 144);
   engine.backup(1, s1);
-  const Bytes s2 = fragmented_followup(s1, 145);
+  const Bytes s2 = testing::fragmented_followup(s1, 145);
   const BackupResult r = engine.backup(2, s2);
 
   EXPECT_GT(r.rewritten_bytes, 0u) << "low-SPL duplicates must be rewritten";
@@ -103,7 +79,7 @@ TEST(DefragEngineTest, RewriteReducesRestoreFragmentation) {
   DefragEngine defrag(cfg);
 
   const Bytes s1 = testing::random_bytes(1 << 20, 146);
-  const Bytes s2 = fragmented_followup(s1, 147);
+  const Bytes s2 = testing::fragmented_followup(s1, 147);
   ddfs.backup(1, s1);
   ddfs.backup(2, s2);
   defrag.backup(1, s1);
@@ -118,39 +94,6 @@ TEST(DefragEngineTest, RewriteReducesRestoreFragmentation) {
   const RestoreResult ddfs_restore = ddfs.restore(2, nullptr);
   const RestoreResult defrag_restore = defrag.restore(2, nullptr);
   EXPECT_GT(defrag_restore.read_mb_s(), ddfs_restore.read_mb_s());
-}
-
-TEST(DefragEngineTest, IndexPointsAtRewrittenCopy) {
-  auto cfg = testing::small_engine_config();
-  cfg.defrag_alpha = 1.5;  // force rewrites
-  DefragEngine engine(cfg);
-  const Bytes s1 = testing::random_bytes(256 * 1024, 148);
-  engine.backup(1, s1);
-  const std::size_t containers_before = engine.container_store().container_count();
-  engine.backup(2, s1);
-
-  // After rewriting, index entries must reference containers written by
-  // generation 2 (ids >= containers_before - 1).
-  const Recipe& r2 = engine.recipe_store().get(2);
-  for (const auto& e : r2.entries()) {
-    EXPECT_GE(e.location.container + 1, containers_before);
-  }
-}
-
-TEST(DefragEngineTest, RestoreLosslessEvenWithRewrites) {
-  auto cfg = testing::small_engine_config();
-  cfg.defrag_alpha = 0.5;
-  DefragEngine engine(cfg);
-  const Bytes s1 = testing::random_bytes(1 << 20, 149);
-  engine.backup(1, s1);
-  const Bytes s2 = fragmented_followup(s1, 150);
-  engine.backup(2, s2);
-
-  Bytes r1, r2;
-  engine.restore(1, &r1);
-  engine.restore(2, &r2);
-  EXPECT_EQ(Sha256::hash(r1), Sha256::hash(s1));
-  EXPECT_EQ(Sha256::hash(r2), Sha256::hash(s2));
 }
 
 TEST(DefragEngineTest, CompressionCostIsBounded) {
@@ -172,21 +115,6 @@ TEST(DefragEngineTest, CompressionCostIsBounded) {
   }
 }
 
-TEST(DefragEngineTest, IntraStreamDuplicatesNeverRewritten) {
-  // Copies written by the current backup are already co-located; even an
-  // extreme alpha must not rewrite them (only *cross-backup* duplicates).
-  auto cfg = testing::small_engine_config();
-  cfg.defrag_alpha = 1.5;
-  DefragEngine engine(cfg);
-  const Bytes unit = testing::random_bytes(192 * 1024, 152);
-  Bytes stream;
-  for (int i = 0; i < 4; ++i) stream.insert(stream.end(), unit.begin(), unit.end());
-  const BackupResult r = engine.backup(1, stream);
-  EXPECT_EQ(r.rewritten_bytes, 0u);
-  EXPECT_GT(r.removed_bytes, 0u);
-  testing::expect_accounting_consistent(r);
-}
-
 TEST(DefragEngineTest, RewritingConvergesAcrossGenerations) {
   // Once a low-SPL sliver has been rewritten next to its neighbours, later
   // generations should find it co-located and keep it: cumulative rewritten
@@ -196,7 +124,7 @@ TEST(DefragEngineTest, RewritingConvergesAcrossGenerations) {
   DefragEngine engine(cfg);
   const Bytes s1 = testing::random_bytes(1 << 20, 153);
   engine.backup(1, s1);
-  const Bytes s2 = fragmented_followup(s1, 154);
+  const Bytes s2 = testing::fragmented_followup(s1, 154);
   const BackupResult first = engine.backup(2, s2);
   // Re-ingest the same fragmented stream: its duplicates now resolve to the
   // copies written (and partially rewritten) at generation 2, which are
@@ -216,7 +144,8 @@ TEST(DefragEngineTest, GroupWidthScalesRewriteAggressiveness) {
     DefragEngine engine(cfg);
     const Bytes s1 = testing::random_bytes(1 << 20, 155);
     engine.backup(1, s1);
-    const BackupResult r = engine.backup(2, fragmented_followup(s1, 156));
+    const BackupResult r =
+        engine.backup(2, testing::fragmented_followup(s1, 156));
     testing::expect_accounting_consistent(r);
     (width == 1 ? rewritten_narrow : rewritten_wide) = r.rewritten_bytes;
 

@@ -13,7 +13,7 @@ TEST(IntegrityTest, CleanStoreScrubsClean) {
   DedupSystem sys(EngineKind::kDefrag, testing::small_engine_config());
   sys.ingest_as(1, testing::random_bytes(512 * 1024, 200));
   sys.ingest_as(2, testing::random_bytes(512 * 1024, 201));
-  const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+  const auto& base = sys.engine();
 
   const IntegrityReport r =
       scrub(base.container_store(), base.recipe_store(), {1, 2});
@@ -91,7 +91,7 @@ TEST(IntegrityTest, ScrubCoversAllEnginesEndToEnd) {
     sys.ingest_as(1, stream);
     for (std::size_t i = 0; i < stream.size(); i += 64 * 1024) stream[i] ^= 1;
     sys.ingest_as(2, stream);
-    const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+    const auto& base = sys.engine();
     const IntegrityReport r =
         scrub(base.container_store(), base.recipe_store(), {1, 2});
     EXPECT_TRUE(r.clean()) << to_string(kind);

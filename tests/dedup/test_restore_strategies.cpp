@@ -25,8 +25,8 @@ class RestoreStrategyTest : public ::testing::TestWithParam<RestoreStrategy> {
     }
   }
 
-  const EngineBase& base() const {
-    return dynamic_cast<const EngineBase&>(sys_.engine());
+  const DedupEngine& base() const {
+    return sys_.engine();
   }
 
   DedupSystem sys_;
@@ -112,7 +112,7 @@ TEST(RestoreStrategyComparisonTest, ForwardAssemblyNeverLoadsMoreThanUncachedWal
   workload::SingleUserSeries series(4041, fs);
   for (std::uint32_t g = 1; g <= 6; ++g) sys.ingest_as(g, series.next().stream);
 
-  const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+  const auto& base = sys.engine();
   const Recipe& recipe = base.recipe_store().get(6);
 
   RestoreOptions faa;
@@ -132,7 +132,7 @@ TEST(RestoreStrategyComparisonTest, ChunkLruPaysPerChunkOnFragmentedData) {
   DedupSystem sys(EngineKind::kDdfs, testing::small_engine_config());
   const Bytes stream = testing::random_bytes(512 * 1024, 4042);
   sys.ingest_as(1, stream);
-  const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+  const auto& base = sys.engine();
   const Recipe& recipe = base.recipe_store().get(1);
 
   RestoreOptions chunk;
@@ -153,7 +153,7 @@ TEST(RestoreStrategyComparisonTest, TinyAssemblyAreaStillCorrect) {
   DedupSystem sys(EngineKind::kDdfs, testing::small_engine_config());
   const Bytes stream = testing::random_bytes(256 * 1024, 4043);
   sys.ingest_as(1, stream);
-  const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+  const auto& base = sys.engine();
 
   RestoreOptions opt;
   opt.strategy = RestoreStrategy::kForwardAssembly;

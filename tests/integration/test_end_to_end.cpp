@@ -113,12 +113,11 @@ TEST(EndToEndTest, RecipesResolveEveryEntry) {
   sys.ingest_as(1, series.next().stream);
   sys.ingest_as(2, series.next().stream);
 
-  const auto* base = dynamic_cast<const EngineBase*>(&sys.engine());
-  ASSERT_NE(base, nullptr);
+  const DedupEngine& engine = sys.engine();
   for (std::uint32_t g : {1u, 2u}) {
-    for (const auto& e : base->recipe_store().get(g).entries()) {
+    for (const auto& e : engine.recipe_store().get(g).entries()) {
       ASSERT_TRUE(e.location.valid());
-      const Container& c = base->container_store().peek(e.location.container);
+      const Container& c = engine.container_store().peek(e.location.container);
       const ByteView data = c.read(e.location);  // throws if out of bounds
       EXPECT_EQ(Fingerprint::of(data), e.fp)
           << "recipe entry content mismatch";

@@ -36,7 +36,7 @@ TEST_P(EnginePropertyTest, AccountingHoldsEveryGeneration) {
   // Physical store equals the sum of per-generation stored bytes.
   std::uint64_t stored = 0;
   for (const auto& r : sys.history()) stored += r.stored_bytes();
-  const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+  const auto& base = sys.engine();
   EXPECT_EQ(base.stored_data_bytes(), stored);
 }
 
@@ -68,7 +68,7 @@ TEST_P(EnginePropertyTest, RecipeBytesMatchStreams) {
     sizes.push_back(b.stream.size());
     sys.ingest_as(g, b.stream);
   }
-  const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+  const auto& base = sys.engine();
   for (std::uint32_t g = 1; g <= 3; ++g) {
     EXPECT_EQ(base.recipe_store().get(g).logical_bytes(), sizes[g - 1]);
   }
@@ -85,6 +85,22 @@ TEST_P(EnginePropertyTest, SeeksAreTheOnlySourceOfSeekTime) {
         static_cast<double>(r.io.seeks) * cfg.disk.seek_seconds;
     EXPECT_GE(r.sim_seconds + 1e-9, floor);
   }
+}
+
+// The base backup frame serves every engine: an empty stream yields an
+// empty generation that restores to nothing.
+TEST_P(EnginePropertyTest, EmptyStreamBacksUpAndRestores) {
+  DedupSystem sys(std::get<0>(GetParam()), testing::small_engine_config());
+  const BackupResult r = sys.ingest_as(1, ByteView());
+  EXPECT_EQ(r.logical_bytes, 0u);
+  EXPECT_EQ(r.chunk_count, 0u);
+  EXPECT_EQ(r.segment_count, 0u);
+  EXPECT_EQ(r.stored_bytes(), 0u);
+  testing::expect_accounting_consistent(r);
+  RestoreResult rr;
+  EXPECT_TRUE(sys.restore_bytes(1, &rr).empty());
+  EXPECT_EQ(rr.logical_bytes, 0u);
+  EXPECT_EQ(rr.container_loads, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

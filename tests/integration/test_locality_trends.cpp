@@ -36,8 +36,7 @@ TEST(LocalityTrendsTest, FragmentationGrowsWithGenerations) {
   constexpr std::uint32_t kGens = 10;
   for (std::uint32_t g = 1; g <= kGens; ++g) {
     sys.ingest_as(g, series.next().stream);
-    const auto* base = dynamic_cast<const EngineBase*>(&sys.engine());
-    const Recipe& r = base->recipe_store().get(g);
+    const Recipe& r = sys.engine().recipe_store().get(g);
     switches_per_mb.push_back(
         static_cast<double>(r.container_switches()) /
         (static_cast<double>(r.logical_bytes()) / 1e6));

@@ -274,7 +274,8 @@ TEST_F(ServiceE2ETest, DrainLetsInFlightBackupComplete) {
   start();
   const Bytes data = testing::random_bytes(1 << 20, 7006);
   Client client(path(), "acme");
-  std::thread stopper([this] { server_->request_stop(); });
+  // jthread: joined on every path, an unexpected exception included.
+  std::jthread stopper([this] { server_->request_stop(); });
   // Race the drain deliberately; whichever wins, the backup must either
   // complete fully or fail with a clean connection error — never hang.
   try {
@@ -283,6 +284,48 @@ TEST_F(ServiceE2ETest, DrainLetsInFlightBackupComplete) {
   } catch (const SocketError&) {
   } catch (const WireError&) {
   }
+  stopper.join();
+  server_thread_.join();
+}
+
+// The deterministic form of the race above: the drain begins after
+// BACKUP_BEGIN is acknowledged and before BACKUP_END. A backup spans many
+// frames, so the drain must leave this session's read side open until the
+// backup ends; the session answers a full BACKUP_DONE, then stops reading.
+TEST_F(ServiceE2ETest, DrainBetweenBackupBeginAndEndStillCompletes) {
+  start();
+  const Bytes data = testing::random_bytes(1 << 20, 7007);
+  Conn conn = connect_unix(path());
+  conn.send_frame(ByteView(encode(HelloRequest{kProtocolVersion, "acme"})));
+  std::optional<Bytes> reply = conn.recv_frame();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(frame_type(ByteView(*reply)), FrameType::kHelloOk);
+  BackupBeginRequest begin;
+  begin.label = "drained";
+  conn.send_frame(ByteView(encode(begin)));
+  reply = conn.recv_frame();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(frame_type(ByteView(*reply)), FrameType::kOk);
+
+  std::jthread stopper([this] { server_->request_stop(); });
+  // draining() turns true under the same lock that shuts read sides down.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!server_->scheduler().draining()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  conn.send_frame(encode_backup_data(ByteView(data)));
+  conn.send_frame(ByteView(encode_empty(FrameType::kBackupEnd)));
+  reply = conn.recv_frame();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(frame_type(ByteView(*reply)), FrameType::kBackupDone);
+  const BackupDoneResponse done = parse_backup_done(frame_body(*reply));
+  EXPECT_EQ(done.backup_id, 1u);
+  EXPECT_EQ(done.logical_bytes, data.size());
+  // Having answered, the session stops reading and closes.
+  EXPECT_FALSE(conn.recv_frame().has_value());
   stopper.join();
   server_thread_.join();
 }

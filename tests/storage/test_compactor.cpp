@@ -29,8 +29,8 @@ struct Fixture {
     }
   }
 
-  const EngineBase& base() const {
-    return dynamic_cast<const EngineBase&>(sys.engine());
+  const DedupEngine& base() const {
+    return sys.engine();
   }
 
   DedupSystem sys;
@@ -135,7 +135,7 @@ TEST(CompactorTest, SharedChunksCopiedOnce) {
   const Bytes stream = testing::random_bytes(256 * 1024, 9191);
   sys.ingest_as(1, stream);
   sys.ingest_as(2, stream);
-  const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+  const auto& base = sys.engine();
 
   Compactor compactor;
   ContainerStore fresh_store;

@@ -14,7 +14,7 @@ TEST(CompactorTimingTest, SweepPaysReadAndWriteTime) {
   DedupSystem sys(EngineKind::kDdfs, testing::small_engine_config());
   const Bytes stream = testing::random_bytes(512 * 1024, 950);
   sys.ingest_as(1, stream);
-  const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+  const auto& base = sys.engine();
 
   Compactor compactor;
   ContainerStore fresh_store;
@@ -40,7 +40,7 @@ TEST(CompactorTimingTest, CompactionCostScalesWithLiveBytes) {
     const Bytes stream = testing::random_bytes(
         static_cast<std::size_t>(scale) * 256 * 1024, 951);
     sys.ingest_as(1, stream);
-    const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+    const auto& base = sys.engine();
 
     Compactor compactor;
     ContainerStore fresh_store;

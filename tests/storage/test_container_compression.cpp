@@ -81,7 +81,7 @@ TEST(ContainerCompressionTest, EndToEndWithTextWorkload) {
   const workload::Backup b2 = series.next();
   sys.ingest_as(2, b2.stream);
 
-  const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+  const auto& base = sys.engine();
   // Dedup removed the cross-generation redundancy; local compression must
   // shrink the mostly-text residue further.
   EXPECT_LT(base.stored_physical_bytes(), base.stored_data_bytes());

@@ -250,7 +250,7 @@ int cmd_backup(const Args& args) {
   std::printf("restore of latest generation: %.1f MB/s (%llu loads)\n",
               rr.read_mb_s(), static_cast<unsigned long long>(rr.container_loads));
 
-  const auto& base = dynamic_cast<const EngineBase&>(sys.engine());
+  const auto& base = sys.engine();
   if (args.flag("scrub")) {
     std::vector<std::uint32_t> gens;
     for (std::uint32_t g = 1; g <= generations; ++g) gens.push_back(g);

@@ -69,6 +69,8 @@ import re
 import sys
 from pathlib import Path
 
+from cpp_scan import strip_comments_and_strings
+
 REPO = Path(__file__).resolve().parent.parent
 SRC_EXTS = {".cpp", ".h"}
 
@@ -106,45 +108,6 @@ def cpp_files(repo=REPO):
         if root.is_dir():
             yield from (p for p in sorted(root.rglob("*"))
                         if p.suffix in SRC_EXTS)
-
-
-def strip_comments_and_strings(text):
-    """Blank out comments and string/char literals, preserving line count.
-
-    Good enough for a lint: handles // and /* */ comments and simple
-    quoted literals; raw strings in this codebase are absent by convention.
-    """
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            j = text.find("\n", i)
-            j = n if j == -1 else j
-            i = j
-        elif c == "/" and nxt == "*":
-            j = text.find("*/", i + 2)
-            j = n - 2 if j == -1 else j
-            out.extend(ch if ch == "\n" else " " for ch in text[i:j + 2])
-            i = j + 2
-        elif c in "\"'":
-            quote = c
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == quote:
-                    break
-                j += 1
-            out.append(quote)
-            out.append(quote)
-            i = j + 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
 
 
 CHECK_NAMES = ("metric-docs", "header-pragma", "header-iwyu", "raw-new",

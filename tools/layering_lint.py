@@ -37,6 +37,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from cpp_scan import run_on_fixture, strip_comments_and_strings
+
 DEFAULT_REPO = Path(__file__).resolve().parent.parent
 SRC_EXTS = {".cpp", ".h"}
 
@@ -69,41 +71,6 @@ LINK_RE = re.compile(
 TYPE_DECL_RE = re.compile(
     r"^(?:class|struct|enum\s+class)\s+(?:DEFRAG_\w+\(\"[^\"]*\"\)\s+)?"
     r"([A-Za-z_]\w*)\s*(?:final\s*)?(?:\{|:(?!:)|(;))", re.MULTILINE)
-
-
-def strip_comments_and_strings(text):
-    """Blank out comments and string/char literals, preserving line count."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            j = text.find("\n", i)
-            j = n if j == -1 else j
-            i = j
-        elif c == "/" and nxt == "*":
-            j = text.find("*/", i + 2)
-            j = n - 2 if j == -1 else j
-            out.extend(ch if ch == "\n" else " " for ch in text[i:j + 2])
-            i = j + 2
-        elif c in "\"'":
-            quote = c
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == quote:
-                    break
-                j += 1
-            out.append(quote)
-            out.append(quote)
-            i = j + 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
 
 
 class LayeringLinter:
@@ -368,29 +335,19 @@ IWYU_FIXTURE = {
 }
 
 
-def run_on_fixture(files):
-    with tempfile.TemporaryDirectory() as td:
-        root = Path(td)
-        for rel, content in files.items():
-            p = root / rel
-            p.parent.mkdir(parents=True, exist_ok=True)
-            p.write_text(content, encoding="utf-8")
-        return LayeringLinter(root).run()
-
-
 def self_test():
     failures = []
 
-    found = run_on_fixture(CLEAN_FIXTURE)
+    found = run_on_fixture(CLEAN_FIXTURE, LayeringLinter)
     if found:
         failures.append(f"clean fixture should pass, got: {found}")
 
-    found = run_on_fixture(BACK_EDGE_FIXTURE)
+    found = run_on_fixture(BACK_EDGE_FIXTURE, LayeringLinter)
     if not any("[layer-back-edge]" in f and "storage -> dedup" in f
                for f in found):
         failures.append(f"seeded back-edge not detected, got: {found}")
 
-    found = run_on_fixture(IWYU_FIXTURE)
+    found = run_on_fixture(IWYU_FIXTURE, LayeringLinter)
     if not any("[iwyu-transitive]" in f and "Widget" in f for f in found):
         failures.append(f"transitive type use not detected, got: {found}")
 

@@ -39,8 +39,9 @@ Only the Python 3 standard library is used; runs from any cwd.
 import argparse
 import re
 import sys
-import tempfile
 from pathlib import Path
+
+from cpp_scan import run_on_fixture, strip_comments_and_strings
 
 DEFAULT_REPO = Path(__file__).resolve().parent.parent
 SRC_EXTS = {".cpp", ".h"}
@@ -58,41 +59,6 @@ ACQ_RE = re.compile(r"DEFRAG_ACQUIRED_(BEFORE|AFTER)\s*\(([^)]*)\)")
 SCOPED_LOCK_RE = re.compile(r"\bMutexLock\s+\w+\s*\(\s*([^)]+?)\s*\)")
 RAW_LOCK_RE = re.compile(r"([\w.\[\]()>-]+?)(?:\.|->)lock\s*\(\s*\)")
 RAW_UNLOCK_RE = re.compile(r"([\w.\[\]()>-]+?)(?:\.|->)unlock\s*\(\s*\)")
-
-
-def strip_comments_and_strings(text):
-    """Blank out comments and string/char literals, preserving line count."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            j = text.find("\n", i)
-            j = n if j == -1 else j
-            i = j
-        elif c == "/" and nxt == "*":
-            j = text.find("*/", i + 2)
-            j = n - 2 if j == -1 else j
-            out.extend(ch if ch == "\n" else " " for ch in text[i:j + 2])
-            i = j + 2
-        elif c in "\"'":
-            quote = c
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == quote:
-                    break
-                j += 1
-            out.append(quote)
-            out.append(quote)
-            i = j + 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
 
 
 def member_of(lock_expr):
@@ -409,34 +375,24 @@ class Thing {
 }
 
 
-def run_on_fixture(files):
-    with tempfile.TemporaryDirectory() as td:
-        root = Path(td)
-        for rel, content in files.items():
-            p = root / rel
-            p.parent.mkdir(parents=True, exist_ok=True)
-            p.write_text(content, encoding="utf-8")
-        return LockGraphLinter(root).run()
-
-
 def self_test():
     failures = []
 
-    found = run_on_fixture(CLEAN_FIXTURE)
+    found = run_on_fixture(CLEAN_FIXTURE, LockGraphLinter)
     if found:
         failures.append(f"clean fixture should pass, got: {found}")
 
-    found = run_on_fixture(SEEDED_CYCLE_FIXTURE)
+    found = run_on_fixture(SEEDED_CYCLE_FIXTURE, LockGraphLinter)
     if not any("[lock-cycle]" in f for f in found):
         failures.append(f"seeded cycle not detected, got: {found}")
     if not any("[lock-order]" in f for f in found):
         failures.append(f"cycle edges should contradict levels: {found}")
 
-    found = run_on_fixture(INVERTED_SCOPE_FIXTURE)
+    found = run_on_fixture(INVERTED_SCOPE_FIXTURE, LockGraphLinter)
     if not any("[lock-order]" in f and "observed" in f for f in found):
         failures.append(f"inverted nested scope not detected: {found}")
 
-    found = run_on_fixture(UNRANKED_FIXTURE)
+    found = run_on_fixture(UNRANKED_FIXTURE, LockGraphLinter)
     if not any("[unranked-mutex]" in f for f in found):
         failures.append(f"unranked Mutex not detected: {found}")
 

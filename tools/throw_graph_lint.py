@@ -67,6 +67,8 @@ import re
 import sys
 from pathlib import Path
 
+from cpp_scan import strip_comments_and_strings as strip_comments
+
 REPO = Path(__file__).resolve().parent.parent
 
 CHECK_NAMES = ("untyped-throw", "cross-module-throw", "throwing-dtor",
@@ -115,46 +117,6 @@ CATCH_ALL_RE = re.compile(r"catch\s*\(\s*\.\.\.\s*\)")
 CALL_RE = re.compile(r"((?:\w+::)*~?[A-Za-z_]\w*)\s*\(")
 THREAD_CTOR_RE = re.compile(r"\bstd::thread\s*\(\s*\[")
 THREAD_VEC_RE = re.compile(r"std::vector<\s*std::thread\s*>\s+(\w+)")
-
-
-def strip_comments(text, keep_strings=False):
-    """Remove //- and /* */-comments; blank out string/char literals unless
-    keep_strings (the failpoint/throw scans need literal contents, the
-    structural scans must not see braces inside strings)."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-        elif c == "/" and nxt == "*":
-            j = text.find("*/", i + 2)
-            # Preserve line structure across the comment.
-            seg = text[i:n if j < 0 else j + 2]
-            out.append("\n" * seg.count("\n"))
-            i = n if j < 0 else j + 2
-        elif c in "\"'":
-            quote = c
-            j = i + 1
-            body = []
-            while j < n and text[j] != quote:
-                if text[j] == "\\":
-                    body.append(text[j:j + 2])
-                    j += 2
-                else:
-                    body.append(text[j])
-                    j += 1
-            if keep_strings:
-                out.append(quote + "".join(body) + quote)
-            else:
-                out.append(quote + quote)
-            i = j + 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
 
 
 class Function:
