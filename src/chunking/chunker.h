@@ -55,6 +55,12 @@ class Chunker {
 
   /// Human-readable algorithm name ("rabin", "gear", "fixed").
   virtual std::string name() const = 0;
+
+  /// The longest chunk this chunker can emit. Every chunker restarts its
+  /// state at each chunk start, so the chunk starting at offset t depends
+  /// only on the bytes [t, t + max_chunk_size()) and on whether the buffer
+  /// ends before that.
+  virtual std::uint32_t max_chunk_size() const = 0;
 };
 
 /// Factory for the chunkers this library ships.

@@ -17,6 +17,7 @@ class FixedChunker final : public Chunker {
 
   void split_to(ByteView data, const ChunkSink& sink) const override;
   std::string name() const override { return "fixed"; }
+  std::uint32_t max_chunk_size() const override { return size_; }
 
  private:
   std::uint32_t size_;

@@ -26,6 +26,7 @@ class GearChunker final : public Chunker {
   std::string name() const override {
     return normalized_ ? "gear-nc2" : "gear";
   }
+  std::uint32_t max_chunk_size() const override { return params_.max_size; }
 
   /// The 256-entry random table; exposed for tests (must be stable across
   /// runs and platforms: it is generated from a fixed SplitMix64 seed).

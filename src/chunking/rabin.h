@@ -24,6 +24,7 @@ class RabinChunker final : public Chunker {
 
   void split_to(ByteView data, const ChunkSink& sink) const override;
   std::string name() const override { return "rabin"; }
+  std::uint32_t max_chunk_size() const override { return params_.max_size; }
 
   /// Exposed for tests: the fingerprint of a full window, computed slowly.
   static std::uint64_t slow_fingerprint(ByteView window);

@@ -1,5 +1,8 @@
-// A small fixed-size thread pool for parallel fingerprinting and benchmark
-// fan-out. Tasks are type-erased std::move_only_function-style closures.
+// A small fixed-size thread pool. Its user in src/ is the helper pool of
+// the sliced chunk_and_fingerprint (dedup/chunk_prep.h), which submits
+// claim loops and joins its slices itself rather than through
+// parallel_for(), whose caller only waits. Tasks are type-erased
+// std::move_only_function-style closures.
 //
 // Thread safety: submit()/parallel_for()/stats() may be called from any
 // thread, concurrently with the workers. The queue and lifecycle flags are

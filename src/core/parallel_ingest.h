@@ -30,10 +30,11 @@
 //    stream as it arrives (a defrag-serve session feeds one BACKUP_DATA
 //    frame at a time), finish() at the end. feed() chunks and fingerprints
 //    the carried tail plus the new bytes (chunk_and_fingerprint, as the
-//    serial engines do) and holds back the last chunk, which may still
-//    grow; every chunker restarts its state at each chunk start, so the
-//    boundaries are bit-identical to chunking the whole stream at once and
-//    the carry never exceeds max_size. Feeds that leave the buffer within
+//    serial engines do, sliced across idle cores for large buffers) and
+//    holds back the last chunk, which may still grow; every chunker
+//    restarts its state at each chunk start, so the boundaries are
+//    bit-identical to chunking the whole stream at once and the carry
+//    never exceeds max_size. Feeds that leave the buffer within
 //    max_size are only carried, so tiny feeds cost no rescans. Each feed()
 //    resolves its own pending duplicates before returning, while it still
 //    holds their bytes, so no claim outlives a call. Between calls the

@@ -1,5 +1,6 @@
 // TSan-targeted stress tests for the concurrent substrate: ThreadPool,
-// MetricsRegistry shard/merge and TraceRecorder emission.
+// MetricsRegistry shard/merge, TraceRecorder emission and the sliced
+// chunk_and_fingerprint.
 //
 // These are correctness tests on every build, but their real job is under
 // -DDEFRAG_SANITIZE=thread in CI: they drive the exact access patterns the
@@ -13,9 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include "chunking/chunker.h"
+#include "chunking/segmenter.h"
+#include "common/fingerprint.h"
 #include "common/thread_pool.h"
+#include "dedup/chunk_prep.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "testing/data.h"
 
 namespace defrag {
 namespace {
@@ -165,6 +171,48 @@ TEST(PipelineStress, ThreadPoolDestructionDrainsOutstandingWork) {
     }  // ~ThreadPool drains
     for (auto& f : futures) f.get();
     ASSERT_EQ(ran.load(), 100);
+  }
+}
+
+TEST(PipelineStress, ConcurrentChunkAndFingerprintCallers) {
+  // Several sessions slicing at once share one helper pool and the caller
+  // claims slices too. Each caller runs the public routine (sliced or not,
+  // as the idle cores allow) and the sliced form with four fixed slices,
+  // which always goes through the pool.
+  constexpr std::size_t kThreads = 4;
+  const auto chunker = make_chunker(ChunkerKind::kGear);
+  std::vector<Bytes> buffers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    buffers.push_back(testing::random_bytes((4 + t) << 20, 100 + t));
+  }
+  std::vector<std::vector<StreamChunk>> got(kThreads), sliced(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::uint64_t n = buffers[t].size();
+      got[t] = chunk_and_fingerprint(*chunker, buffers[t], false);
+      sliced[t] = chunk_prep_detail::chunk_and_fingerprint_sliced(
+          *chunker, buffers[t], false,
+          std::vector<std::uint64_t>{0, n / 4 + 1, n / 2 + 3, 3 * n / 4 + 7});
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const ByteView data(buffers[t]);
+    const std::vector<ChunkRef> refs = chunker->split(data);
+    ASSERT_EQ(got[t].size(), refs.size()) << "caller " << t;
+    ASSERT_EQ(sliced[t].size(), refs.size()) << "caller " << t;
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      const Fingerprint fp =
+          Fingerprint::of(data.subspan(refs[i].offset, refs[i].size));
+      ASSERT_EQ(got[t][i].stream_offset, refs[i].offset);
+      ASSERT_EQ(got[t][i].size, refs[i].size);
+      ASSERT_EQ(got[t][i].fp, fp);
+      ASSERT_EQ(sliced[t][i].stream_offset, refs[i].offset);
+      ASSERT_EQ(sliced[t][i].size, refs[i].size);
+      ASSERT_EQ(sliced[t][i].fp, fp);
+    }
   }
 }
 

@@ -13,9 +13,13 @@
 //   - chunk_and_fingerprint(), the routine every ingest path runs, yields
 //     the same boundaries with each chunk's exact fingerprint, and
 //     hold_back_last drops only the final chunk;
+//   - so does its sliced form on slice starts derived from the input: the
+//     stitch of independently chunked slices is bit-identical to one
+//     sequential pass, however the cuts fall;
 //   - the SIMD gear-scan dispatch is a pure performance knob: splitting
 //     with the ISA level pinned to scalar and to AVX-512 (when this host
 //     has it) yields bit-identical boundaries on arbitrary content.
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -25,6 +29,7 @@
 #include "common/bytes.h"
 #include "common/cpu.h"
 #include "common/fingerprint.h"
+#include "common/rng.h"
 #include "dedup/chunk_prep.h"
 #include "fuzz/fuzz_util.h"
 
@@ -37,6 +42,7 @@ using defrag::ChunkRef;
 using defrag::Fingerprint;
 using defrag::make_chunker;
 using defrag::StreamChunk;
+using defrag::chunk_prep_detail::chunk_and_fingerprint_sliced;
 
 namespace {
 
@@ -90,6 +96,29 @@ void check_chunker(const Chunker& chunker, const ChunkerParams& params,
   }
   FUZZ_ASSERT(chunk_and_fingerprint(chunker, stream, /*hold_back_last=*/true)
                   .size() == chunks.size() - 1);
+
+  // Up to 7 slice starts drawn from the input itself.
+  std::uint64_t seed = 0;
+  for (std::size_t i = 0; i < stream.size() && i < 8; ++i) {
+    seed = (seed << 8) | stream[i];
+  }
+  defrag::SplitMix64 rng(seed);
+  std::vector<std::uint64_t> starts{0};
+  for (std::uint64_t k = rng.next() % 8; k > 0; --k) {
+    starts.push_back(rng.next() % stream.size());
+  }
+  std::sort(starts.begin(), starts.end());
+  starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+  for (const bool hold : {false, true}) {
+    const std::vector<StreamChunk> sliced =
+        chunk_and_fingerprint_sliced(chunker, stream, hold, starts);
+    FUZZ_ASSERT(sliced.size() == chunks.size() - (hold ? 1 : 0));
+    for (std::size_t i = 0; i < sliced.size(); ++i) {
+      FUZZ_ASSERT(sliced[i].stream_offset == prepared[i].stream_offset);
+      FUZZ_ASSERT(sliced[i].size == prepared[i].size);
+      FUZZ_ASSERT(sliced[i].fp == prepared[i].fp);
+    }
+  }
 }
 
 /// SIMD-vs-scalar oracle: boundaries must not depend on the dispatched ISA
