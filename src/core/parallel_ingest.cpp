@@ -3,20 +3,17 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <future>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "chunking/chunker.h"
 #include "chunking/segmenter.h"
 #include "common/check.h"
 #include "common/fingerprint.h"
-#include "common/thread_pool.h"
-#include "common/units.h"
 #include "dedup/chunk_prep.h"
 #include "index/paged_index.h"
 #include "index/sharded_index.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/container.h"
 #include "storage/container_store.h"
@@ -26,11 +23,6 @@
 namespace defrag {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 /// Abandons a held claim on unwind so kPending waiters never spin on a
 /// claim whose append threw; dismissed on the publish that normally
@@ -69,10 +61,6 @@ constexpr auto kPendingWaitLimit = std::chrono::seconds(120);
 
 }  // namespace
 
-double ParallelIngestResult::throughput_mb_s() const {
-  return mb_per_sec(logical_bytes, wall_seconds);
-}
-
 ParallelIngestor::ParallelIngestor(const ParallelIngestParams& params)
     : params_(params),
       chunker_(make_chunker(params.chunker_kind, params.chunker)),
@@ -82,10 +70,8 @@ ParallelIngestor::ParallelIngestor(const ParallelIngestParams& params)
 ParallelIngestor::Stream::Stream(ParallelIngestor& ingestor, Recipe* recipe)
     : ingestor_(ingestor),
       recipe_(recipe),
-      wall_start_(std::chrono::steady_clock::now()),
       sim_(ingestor.params_.disk),
       appender_(ingestor.store_.open_stream()) {
-  st_.stream = ingestor.next_stream_id_.fetch_add(1, std::memory_order_relaxed);
   appender_.park();
 }
 
@@ -131,7 +117,6 @@ StreamIngestStats ParallelIngestor::Stream::finish() {
   finished_ = true;
   st_.io = sim_.stats();
   st_.sim_seconds = sim_.elapsed_seconds();
-  st_.wall_seconds = seconds_since(wall_start_);
   return st_;
 }
 
@@ -259,63 +244,6 @@ StreamIngestStats ParallelIngestor::ingest_stream(ByteView stream,
   Stream s(*this, recipe);
   s.feed(stream);
   return s.finish();
-}
-
-ParallelIngestResult ParallelIngestor::ingest(
-    const std::vector<ByteView>& streams, std::vector<Recipe>* recipes) {
-  const obs::TraceSpan span("parallel_ingest", "ingest");
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  ParallelIngestResult res;
-  res.streams.resize(streams.size());
-  if (recipes != nullptr) {
-    recipes->clear();
-    recipes->resize(streams.size());
-  }
-  if (!streams.empty()) {
-    ThreadPool pool(streams.size());
-    std::vector<std::future<StreamIngestStats>> futures;
-    futures.reserve(streams.size());
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      Recipe* recipe = recipes != nullptr ? &(*recipes)[i] : nullptr;
-      futures.push_back(pool.submit([this, view = streams[i], recipe] {
-        return ingest_stream(view, recipe);
-      }));
-    }
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      res.streams[i] = futures[i].get();
-      // Report under the wave-stable position, not the ingestor-lifetime
-      // stream id (batch callers label rows by position).
-      res.streams[i].stream = i;
-    }
-  }
-  res.wall_seconds = seconds_since(wall_start);
-
-  std::uint64_t resolved = 0;
-  auto& reg = obs::MetricsRegistry::global();
-  for (const StreamIngestStats& st : res.streams) {
-    res.logical_bytes += st.logical_bytes;
-    res.chunk_count += st.chunk_count;
-    res.unique_bytes += st.unique_bytes;
-    res.dup_bytes += st.dup_bytes;
-    resolved += st.pending_dup_chunks;
-    reg.histogram("dedup.parallel.stream_wall_us")
-        .observe(st.wall_seconds * 1e6);
-  }
-  reg.counter("dedup.parallel.ingests").add(1);
-  reg.counter("dedup.parallel.streams").add(res.streams.size());
-  reg.counter("dedup.parallel.logical_bytes").add(res.logical_bytes);
-  reg.counter("dedup.parallel.chunks").add(res.chunk_count);
-  reg.counter("dedup.parallel.unique_bytes").add(res.unique_bytes);
-  reg.counter("dedup.parallel.dup_bytes").add(res.dup_bytes);
-  reg.counter("dedup.parallel.pending_resolved").add(resolved);
-  reg.gauge("dedup.parallel.last_throughput_mb_s").set(res.throughput_mb_s());
-
-  // Every claim must have been published (or abandoned and re-resolved)
-  // before the streams joined.
-  DEFRAG_CHECK_MSG(index_.pending_claims() == 0,
-                   "stream finished with unpublished claims");
-  return res;
 }
 
 }  // namespace defrag

@@ -24,21 +24,20 @@
 // publishing, its claim is abandoned and exactly one waiter re-claims and
 // stores the chunk itself, so waiters never hang on a dead claim.
 //
-// One ingest core, three entry points:
-//  - Stream: the incremental form every other entry point runs through.
-//    Construct it at the start of a backup, feed() each piece of the byte
-//    stream as it arrives (a defrag-serve session feeds one BACKUP_DATA
-//    frame at a time), finish() at the end. feed() chunks and fingerprints
-//    the carried tail plus the new bytes (chunk_and_fingerprint, as the
-//    serial engines do, sliced across idle cores for large buffers) and
-//    holds back the last chunk, which may still grow; every chunker
-//    restarts its state at each chunk start, so the boundaries are
-//    bit-identical to chunking the whole stream at once and the carry
-//    never exceeds max_size. Feeds that leave the buffer within
-//    max_size are only carried, so tiny feeds cost no rescans. Each feed()
-//    resolves its own pending duplicates before returning, while it still
-//    holds their bytes, so no claim outlives a call. Between calls the
-//    stream's open container is parked
+// One ingest core, two entry points:
+//  - Stream: the incremental form. Construct it at the start of a backup,
+//    feed() each piece of the byte stream as it arrives (a defrag-serve
+//    session feeds one BACKUP_DATA frame at a time), finish() at the end.
+//    feed() chunks and fingerprints the carried tail plus the new bytes
+//    (chunk_and_fingerprint, as the serial engines do, sliced across idle
+//    cores for large buffers) and holds back the last chunk, which may
+//    still grow; every chunker restarts its state at each chunk start, so
+//    the boundaries are bit-identical to chunking the whole stream at once
+//    and the carry never exceeds max_size. Feeds that leave the buffer
+//    within max_size are only carried, so tiny feeds cost no rescans. Each
+//    feed() resolves its own pending duplicates before returning, while it
+//    still holds their bytes, so no claim outlives a call. Between calls
+//    the stream's open container is parked
 //    (ContainerStore::StreamAppender::park), so a reader never waits on
 //    the feeder's pace.
 //  - ingest_stream(stream, recipe): one Stream, one feed(), finish(). Safe
@@ -46,17 +45,11 @@
 //    non-null `recipe` it records one entry per chunk in stream order with
 //    a published location for every duplicate, making the stream
 //    restore-grade via dedup/restore_strategies.h.
-//  - ingest(streams): the one-shot batch API — runs ingest_stream() on one
-//    thread per stream, joins them all, returns aggregate stats. Single
-//    caller at a time per ingestor.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "chunking/chunker.h"
 #include "common/bytes.h"
@@ -82,9 +75,8 @@ struct ParallelIngestParams {
   double cpu_mb_per_s = 220.0;
 };
 
-/// Per-stream outcome of one ingest() / ingest_stream() call or Stream.
+/// Per-stream outcome of one ingest_stream() call or Stream.
 struct StreamIngestStats {
-  std::size_t stream = 0;
   std::uint64_t logical_bytes = 0;
   std::uint64_t chunk_count = 0;
   std::uint64_t unique_chunks = 0;
@@ -98,20 +90,6 @@ struct StreamIngestStats {
   std::uint64_t pending_dup_chunks = 0;
   IoStats io;
   double sim_seconds = 0.0;
-  double wall_seconds = 0.0;
-};
-
-struct ParallelIngestResult {
-  std::vector<StreamIngestStats> streams;
-  std::uint64_t logical_bytes = 0;
-  std::uint64_t chunk_count = 0;
-  std::uint64_t unique_bytes = 0;
-  std::uint64_t dup_bytes = 0;
-  /// Wall-clock time of the whole ingest() call (all streams).
-  double wall_seconds = 0.0;
-
-  /// Aggregate wall-clock ingest throughput (MB/s over all streams).
-  double throughput_mb_s() const;
 };
 
 class ParallelIngestor {
@@ -150,7 +128,6 @@ class ParallelIngestor {
 
     ParallelIngestor& ingestor_;
     Recipe* recipe_;
-    std::chrono::steady_clock::time_point wall_start_;
     DiskSim sim_;
     StreamIngestStats st_;
     /// Published-location lookups charged for pending duplicates.
@@ -160,15 +137,6 @@ class ParallelIngestor {
     Bytes carry_;
     bool finished_ = false;
   };
-
-  /// Ingest all streams concurrently (one thread per stream). Blocks until
-  /// every stream finished; rethrows the first stream failure. One caller
-  /// at a time per ingestor (it owns the worker pool for the call); use
-  /// ingest_stream() for externally threaded callers. With a non-null
-  /// `recipes` the vector is resized to streams.size() and recipes[i]
-  /// receives stream i's restore-grade recipe.
-  ParallelIngestResult ingest(const std::vector<ByteView>& streams,
-                              std::vector<Recipe>* recipes = nullptr);
 
   /// Ingest one whole stream on the calling thread: a Stream fed once.
   /// Thread-safe: any number of threads may run ingest_stream()
@@ -188,9 +156,6 @@ class ParallelIngestor {
   std::unique_ptr<Chunker> chunker_;
   ShardedPagedIndex index_;
   ContainerStore store_;
-  /// Stream ids for stats attribution; monotonically increasing across the
-  /// ingestor's lifetime (service sessions interleave arbitrarily).
-  std::atomic<std::size_t> next_stream_id_{0};
 };
 
 }  // namespace defrag

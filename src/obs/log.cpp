@@ -16,7 +16,8 @@
 namespace defrag::obs {
 namespace {
 
-// The one place in src/ allowed to talk to stdio directly: this IS the
+// The one place in src/ allowed to talk to stdio directly, apart from the
+// command-line tools' usage errors (service/cli_config.cpp): this IS the
 // sink the rest of the tree logs through. Flushed per line so daemon
 // readiness/teardown lines survive pipes and crashes.
 void default_sink(std::string_view line) {

@@ -20,7 +20,11 @@
 namespace defrag::cli {
 
 /// `<command> [--option value | --flag]...` parsed argv. Option values
-/// must not start with "--" (that reads as the next option).
+/// must not start with "--" (that reads as the next option). The numeric
+/// accessors return `fallback` for an absent option and parse a present
+/// one strictly (the whole token, in range, unsigned ones without a sign,
+/// doubles finite); a malformed value prints `--<name>: bad value '<v>'`
+/// and exits 2.
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;

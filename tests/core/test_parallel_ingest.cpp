@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -35,30 +36,80 @@ std::uint64_t reference_unique_bytes(const ParallelIngestParams& params,
   return unique;
 }
 
-TEST(ParallelIngestTest, EmptyStreamListIsZero) {
+/// Ingest each stream through ingest_stream() on a thread of its own, as
+/// concurrent service sessions do, and join them all. With a non-null
+/// `recipes`, recipes[i] receives stream i's recipe. After the join no
+/// claim may be left unpublished: every stream publishes (or abandons and
+/// re-resolves) its claims before ingest_stream() returns.
+std::vector<StreamIngestStats> ingest_concurrently(
+    ParallelIngestor& ingestor, const std::vector<ByteView>& streams,
+    std::vector<Recipe>* recipes = nullptr) {
+  std::vector<StreamIngestStats> stats(streams.size());
+  if (recipes != nullptr) {
+    recipes->clear();
+    recipes->resize(streams.size());
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    threads.emplace_back([&, i] {
+      stats[i] = ingestor.ingest_stream(
+          streams[i], recipes != nullptr ? &(*recipes)[i] : nullptr);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(ingestor.index().pending_claims(), 0u);
+  return stats;
+}
+
+struct Totals {
+  std::uint64_t logical_bytes = 0;
+  std::uint64_t unique_bytes = 0;
+  std::uint64_t dup_bytes = 0;
+  std::uint64_t chunk_count = 0;
+  std::uint64_t unique_chunks = 0;
+  std::uint64_t pending_dup_chunks = 0;
+};
+
+Totals sum(const std::vector<StreamIngestStats>& stats) {
+  Totals t;
+  for (const StreamIngestStats& st : stats) {
+    t.logical_bytes += st.logical_bytes;
+    t.unique_bytes += st.unique_bytes;
+    t.dup_bytes += st.dup_bytes;
+    t.chunk_count += st.chunk_count;
+    t.unique_chunks += st.unique_chunks;
+    t.pending_dup_chunks += st.pending_dup_chunks;
+  }
+  return t;
+}
+
+TEST(ParallelIngestTest, EmptyStreamIsZero) {
   ParallelIngestor ingestor;
-  const ParallelIngestResult res = ingestor.ingest({});
-  EXPECT_EQ(res.logical_bytes, 0u);
-  EXPECT_EQ(res.unique_bytes, 0u);
-  EXPECT_TRUE(res.streams.empty());
+  Recipe recipe;
+  const StreamIngestStats st = ingestor.ingest_stream(ByteView(), &recipe);
+  EXPECT_EQ(st.logical_bytes, 0u);
+  EXPECT_EQ(st.chunk_count, 0u);
+  EXPECT_EQ(st.unique_bytes, 0u);
+  EXPECT_EQ(st.dup_bytes, 0u);
+  EXPECT_TRUE(recipe.entries().empty());
+  EXPECT_EQ(ingestor.index().size(), 0u);
+  EXPECT_EQ(ingestor.index().pending_claims(), 0u);
 }
 
 TEST(ParallelIngestTest, SingleStreamMatchesReference) {
   const Bytes data = testing::random_bytes(2 << 20, 500);
   ParallelIngestParams params;
   ParallelIngestor ingestor(params);
-  const ParallelIngestResult res = ingestor.ingest({ByteView(data)});
+  const StreamIngestStats st = ingestor.ingest_stream(ByteView(data));
 
-  EXPECT_EQ(res.logical_bytes, data.size());
-  EXPECT_EQ(res.unique_bytes,
-            reference_unique_bytes(params, {ByteView(data)}));
-  EXPECT_EQ(res.unique_bytes + res.dup_bytes, res.logical_bytes);
-  EXPECT_EQ(ingestor.index().size(),
-            res.streams[0].unique_chunks);
+  EXPECT_EQ(st.logical_bytes, data.size());
+  EXPECT_EQ(st.unique_bytes, reference_unique_bytes(params, {ByteView(data)}));
+  EXPECT_EQ(st.unique_bytes + st.dup_bytes, st.logical_bytes);
+  EXPECT_EQ(ingestor.index().size(), st.unique_chunks);
   EXPECT_EQ(ingestor.index().pending_claims(), 0u);
 }
 
-// The determinism guarantee of the claim/publish protocol: two identical
+// The determinism guarantee of the claim/publish protocol: identical
 // streams racing each other must dedup to exactly one stream's worth of
 // unique bytes, no matter how the threads interleave — so repeated runs
 // give bit-identical totals.
@@ -70,12 +121,11 @@ TEST(ParallelIngestTest, IdenticalConcurrentStreamsDedupDeterministically) {
 
   for (int run = 0; run < 5; ++run) {
     ParallelIngestor ingestor(params);
-    const ParallelIngestResult res =
-        ingestor.ingest({ByteView(data), ByteView(data), ByteView(data)});
-    EXPECT_EQ(res.logical_bytes, 3 * data.size());
-    EXPECT_EQ(res.unique_bytes, reference) << "run " << run;
-    EXPECT_EQ(res.dup_bytes, res.logical_bytes - reference);
-    EXPECT_EQ(ingestor.index().pending_claims(), 0u);
+    const Totals t = sum(ingest_concurrently(
+        ingestor, {ByteView(data), ByteView(data), ByteView(data)}));
+    EXPECT_EQ(t.logical_bytes, 3 * data.size());
+    EXPECT_EQ(t.unique_bytes, reference) << "run " << run;
+    EXPECT_EQ(t.dup_bytes, t.logical_bytes - reference);
   }
 }
 
@@ -84,83 +134,62 @@ TEST(ParallelIngestTest, DisjointStreamsShareNothing) {
   const Bytes b = testing::random_bytes(512 * 1024, 503);
   ParallelIngestParams params;
   ParallelIngestor ingestor(params);
-  const ParallelIngestResult res =
-      ingestor.ingest({ByteView(a), ByteView(b)});
-  EXPECT_EQ(res.unique_bytes,
+  const Totals t =
+      sum(ingest_concurrently(ingestor, {ByteView(a), ByteView(b)}));
+  EXPECT_EQ(t.unique_bytes,
             reference_unique_bytes(params, {ByteView(a), ByteView(b)}));
   // Random content: essentially everything is unique.
-  EXPECT_EQ(res.dup_bytes, 0u);
+  EXPECT_EQ(t.dup_bytes, 0u);
   EXPECT_GE(ingestor.store().container_count(), 1u);
 }
 
 // kPending accounting: every duplicate resolved against an in-flight claim
-// is charged a published-location lookup post-join, and the
-// `dedup.parallel.pending_resolved` counter advances by exactly the number
-// of pending duplicates the streams reported. Identical concurrent streams
-// are the scenario that provokes kPending races; the invariant must hold
-// whether a given run hit the race or not.
+// is charged exactly one published-location lookup, on top of the one
+// lookup every chunk pays, and every chunk stored is published exactly
+// once. Identical concurrent streams are the scenario that provokes
+// kPending races; the invariants must hold whether a given run hit the
+// race or not.
 TEST(ParallelIngestTest, PendingDuplicatesAreResolvedAndCharged) {
   const Bytes data = testing::random_bytes(1 << 20, 506);
-  auto& pending_counter =
-      obs::MetricsRegistry::global().counter("dedup.parallel.pending_resolved");
+  auto& lookups = obs::MetricsRegistry::global().counter("index.paged.lookups");
   for (int run = 0; run < 5; ++run) {
     ParallelIngestor ingestor;
-    const std::uint64_t before = pending_counter.value();
-    const ParallelIngestResult res =
-        ingestor.ingest({ByteView(data), ByteView(data), ByteView(data)});
-    std::uint64_t pending = 0;
-    for (const StreamIngestStats& st : res.streams) {
+    const std::uint64_t before = lookups.value();
+    const std::vector<StreamIngestStats> stats = ingest_concurrently(
+        ingestor, {ByteView(data), ByteView(data), ByteView(data)});
+    for (const StreamIngestStats& st : stats) {
       EXPECT_LE(st.pending_dup_chunks, st.dup_chunks);
-      pending += st.pending_dup_chunks;
     }
-    EXPECT_EQ(pending_counter.value() - before, pending) << "run " << run;
-    // Post-join resolution published every claim.
-    EXPECT_EQ(ingestor.index().pending_claims(), 0u);
+    const Totals t = sum(stats);
+    EXPECT_EQ(lookups.value() - before, t.chunk_count + t.pending_dup_chunks)
+        << "run " << run;
+    EXPECT_EQ(ingestor.index().size(), t.unique_chunks) << "run " << run;
   }
 }
 
 TEST(ParallelIngestTest, PerStreamStatsAddUp) {
   const Bytes data = testing::random_bytes(1 << 20, 505);
   ParallelIngestor ingestor;
-  const ParallelIngestResult res =
-      ingestor.ingest({ByteView(data), ByteView(data)});
-  ASSERT_EQ(res.streams.size(), 2u);
-  std::uint64_t unique = 0;
-  std::uint64_t dup = 0;
-  std::uint64_t chunks = 0;
-  for (const StreamIngestStats& st : res.streams) {
+  const std::vector<StreamIngestStats> stats =
+      ingest_concurrently(ingestor, {ByteView(data), ByteView(data)});
+  for (const StreamIngestStats& st : stats) {
+    EXPECT_EQ(st.logical_bytes, data.size());
     EXPECT_EQ(st.unique_chunks + st.dup_chunks, st.chunk_count);
     EXPECT_EQ(st.unique_bytes + st.dup_bytes, st.logical_bytes);
     EXPECT_GT(st.sim_seconds, 0.0);
-    unique += st.unique_bytes;
-    dup += st.dup_bytes;
-    chunks += st.chunk_count;
   }
-  EXPECT_EQ(unique, res.unique_bytes);
-  EXPECT_EQ(dup, res.dup_bytes);
-  EXPECT_EQ(chunks, res.chunk_count);
-  EXPECT_GT(res.wall_seconds, 0.0);
 }
 
-// The recipes out-param makes every stream restore-grade: one entry per
-// chunk in stream order with a published location even for duplicates won
-// by another stream.
-TEST(ParallelIngestTest, BatchRecipesRestoreBitIdentically) {
-  const Bytes shared = testing::random_bytes(512 * 1024, 507);
-  Bytes a = shared;
-  const Bytes tail_a = testing::random_bytes(128 * 1024, 508);
-  a.insert(a.end(), tail_a.begin(), tail_a.end());
-  Bytes b = shared;
-  const Bytes tail_b = testing::random_bytes(128 * 1024, 509);
-  b.insert(b.end(), tail_b.begin(), tail_b.end());
-
+// Recipes built under the race stay restore-grade: one entry per chunk in
+// stream order with a published location even for duplicates won by
+// another stream, and exactly one copy of the shared bytes is unique.
+void expect_concurrent_recipes_restore(const std::vector<ByteView>& streams) {
   ParallelIngestor ingestor;
   std::vector<Recipe> recipes;
-  const std::vector<ByteView> streams = {ByteView(a), ByteView(b),
-                                         ByteView(a)};
-  const ParallelIngestResult res = ingestor.ingest(streams, &recipes);
-  ASSERT_EQ(recipes.size(), streams.size());
-  EXPECT_GT(res.dup_bytes, 0u);  // shared prefix dedups across streams
+  const Totals t = sum(ingest_concurrently(ingestor, streams, &recipes));
+  EXPECT_EQ(t.unique_bytes,
+            reference_unique_bytes(ingestor.params(), streams));
+  EXPECT_GT(t.dup_bytes, 0u);  // shared bytes dedup across streams
 
   const RestoreOptions options;
   for (std::size_t i = 0; i < streams.size(); ++i) {
@@ -174,47 +203,30 @@ TEST(ParallelIngestTest, BatchRecipesRestoreBitIdentically) {
   }
 }
 
-// ingest_stream() is the service entry point: many external threads, no
-// batch barrier, recipes that must stay restore-grade under the race.
+// (a, b, a): two streams share a prefix, and one stream races itself.
+TEST(ParallelIngestTest, BatchRecipesRestoreBitIdentically) {
+  const Bytes prefix = testing::random_bytes(512 * 1024, 507);
+  Bytes a = prefix;
+  const Bytes tail_a = testing::random_bytes(128 * 1024, 508);
+  a.insert(a.end(), tail_a.begin(), tail_a.end());
+  Bytes b = prefix;
+  const Bytes tail_b = testing::random_bytes(128 * 1024, 509);
+  b.insert(b.end(), tail_b.begin(), tail_b.end());
+  expect_concurrent_recipes_restore({ByteView(a), ByteView(b), ByteView(a)});
+}
+
+// Four streams sharing a prefix, each with a distinct tail.
 TEST(ParallelIngestTest, ConcurrentIngestStreamCallsAreRestoreGrade) {
   const Bytes shared = testing::random_bytes(512 * 1024, 510);
-  constexpr std::size_t kThreads = 4;
-
-  std::vector<Bytes> datas(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
+  std::vector<Bytes> datas(4);
+  std::vector<ByteView> streams;
+  for (std::size_t t = 0; t < datas.size(); ++t) {
     datas[t] = shared;
     const Bytes tail = testing::random_bytes(64 * 1024, 511 + t);
     datas[t].insert(datas[t].end(), tail.begin(), tail.end());
+    streams.emplace_back(datas[t]);
   }
-
-  ParallelIngestor ingestor;
-  std::vector<Recipe> recipes(kThreads);
-  std::vector<StreamIngestStats> stats(kThreads);
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      stats[t] = ingestor.ingest_stream(ByteView(datas[t]), &recipes[t]);
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  // Deterministic dedup: exactly one copy of the shared prefix is unique.
-  std::uint64_t unique = 0;
-  for (const StreamIngestStats& st : stats) unique += st.unique_bytes;
-  std::vector<ByteView> views;
-  for (const Bytes& d : datas) views.push_back(ByteView(d));
-  EXPECT_EQ(unique, reference_unique_bytes(ingestor.params(), views));
-  EXPECT_EQ(ingestor.index().pending_claims(), 0u);
-
-  const RestoreOptions options;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    Bytes out;
-    restore_with_strategy(ingestor.store(), recipes[t],
-                          ingestor.params().disk, options, &out);
-    EXPECT_TRUE(std::equal(out.begin(), out.end(), datas[t].begin(),
-                           datas[t].end()))
-        << "stream " << t;
-  }
+  expect_concurrent_recipes_restore(streams);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 //                       [--users 1] [--seed N] [--files N] [--verify]
 //                       [--scrub] [--gc-keep N]
 //                       [--metrics-json FILE] [--trace-out FILE]
-//                       [--parallel-ingest N]
 //   defrag-cli trace    --generations 10 --out trace.dftr [--users 5]
 //   defrag-cli analyze  --in trace.dftr
 //   defrag-cli engines
@@ -13,12 +12,11 @@
 // per-generation metrics plus a summary; `--verify` restores and checks
 // every generation, `--scrub` re-fingerprints every referenced extent, and
 // `--gc-keep N` runs the re-linearizing compactor keeping the last N
-// generations. `--metrics-json` dumps the full metrics registry
+// generations (N >= 1). `--metrics-json` dumps the full metrics registry
 // (schema defrag.metrics.v1, see docs/OBSERVABILITY.md) and `--trace-out`
 // writes a Chrome trace-event file loadable at https://ui.perfetto.dev.
-// `--parallel-ingest N` switches backup to the multi-stream ingest fast
-// path (N concurrent streams per wave; see core/parallel_ingest.h), with
-// `--verify` restoring every generation from its per-stream recipe.
+// A malformed numeric option is a usage error (exit 2), as is a bad
+// engine name.
 // `trace` records the series' chunk sequence to a portable .dftr file;
 // `analyze` reports dedup statistics of any such file.
 //
@@ -36,9 +34,7 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "core/dedup_system.h"
-#include "core/parallel_ingest.h"
 #include "dedup/integrity.h"
-#include "dedup/restore_strategies.h"
 #include "service/cli_config.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -61,145 +57,27 @@ int cmd_engines() {
   return 0;
 }
 
-/// `backup --parallel-ingest N`: the multi-stream ingest fast path. The
-/// series' generations are ingested in waves of N concurrent streams
-/// through one shared ParallelIngestor (lock-striped index + per-stream
-/// container appenders). `--verify` restores every generation from its
-/// per-stream recipe (the same recipe machinery defrag-serve commits) and
-/// checks it bit-for-bit; `--scrub` and `--gc-keep` remain engine-path
-/// features.
-int cmd_backup_parallel(const Args& args) {
-  const std::size_t streams_per_wave = args.get_size("parallel-ingest", 2);
-  if (streams_per_wave < 1) {
-    std::fprintf(stderr, "--parallel-ingest needs N >= 1\n");
+int cmd_backup(const Args& args) {
+  const auto kind = cli::engine_by_name(args.get("engine", "defrag"));
+  if (!kind) {
+    std::fprintf(stderr, "unknown engine; try `defrag-cli engines`\n");
     return 2;
   }
   const std::uint32_t generations = args.get_u32("generations", 10);
   const std::uint32_t users = args.get_u32("users", 1);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const bool verify = args.flag("verify");
-  const std::string metrics_path = args.get("metrics-json", "");
-  const std::string trace_path = args.get("trace-out", "");
-  if (!trace_path.empty()) obs::TraceRecorder::global().enable();
-
-  ParallelIngestor ingestor;
-
-  auto fs = cli::fs_from(args);
-  workload::SingleUserSeries single(seed, fs);
-  workload::MultiUserSeries multi(seed, fs);
-
-  Table t({"wave", "stream", "logical", "unique", "dup", "chunks", "MB_s"});
-  std::uint64_t logical_total = 0;
-  std::uint64_t unique_total = 0;
-  double wall_total = 0.0;
-  std::vector<Sha256::Digest> digests;
-  std::vector<Recipe> all_recipes;
-  std::uint32_t done = 0;
-  std::uint32_t wave = 0;
-  while (done < generations) {
-    ++wave;
-    std::vector<workload::Backup> backups;
-    while (done < generations && backups.size() < streams_per_wave) {
-      backups.push_back(users > 1 ? multi.next() : single.next());
-      ++done;
-    }
-    std::vector<ByteView> views;
-    views.reserve(backups.size());
-    for (const workload::Backup& b : backups) {
-      views.emplace_back(b.stream);
-      if (verify) digests.push_back(Sha256::hash(b.stream));
-    }
-
-    std::vector<Recipe> wave_recipes;
-    const ParallelIngestResult r =
-        ingestor.ingest(views, verify ? &wave_recipes : nullptr);
-    for (const StreamIngestStats& st : r.streams) {
-      t.add_row({Table::integer(wave),
-                 Table::integer(static_cast<long long>(st.stream)),
-                 format_bytes(st.logical_bytes), format_bytes(st.unique_bytes),
-                 format_bytes(st.dup_bytes),
-                 Table::integer(static_cast<long long>(st.chunk_count)),
-                 Table::num(mb_per_sec(st.logical_bytes, st.wall_seconds), 1)});
-    }
-    logical_total += r.logical_bytes;
-    unique_total += r.unique_bytes;
-    wall_total += r.wall_seconds;
-    for (Recipe& recipe : wave_recipes) {
-      all_recipes.push_back(std::move(recipe));
-    }
-  }
-  t.print();
-
-  if (verify) {
-    const RestoreOptions options;
-    for (std::size_t i = 0; i < all_recipes.size(); ++i) {
-      Bytes restored;
-      restore_with_strategy(ingestor.store(), all_recipes[i],
-                            ingestor.params().disk, options, &restored);
-      if (Sha256::hash(restored) != digests[i]) {
-        std::fprintf(stderr, "VERIFY FAILED at generation %zu\n", i + 1);
-        return 1;
-      }
-    }
-    std::printf("verify: all %u generations restored bit-for-bit from "
-                "parallel-ingest recipes\n",
-                generations);
-  }
-
-  std::printf(
-      "\nparallel ingest (%zu streams/wave): %s logical -> %s unique, "
-      "%.1f MB/s wall aggregate\n",
-      streams_per_wave, format_bytes(logical_total).c_str(),
-      format_bytes(unique_total).c_str(),
-      mb_per_sec(logical_total, wall_total));
-  std::printf("store: %zu containers, index: %zu published chunks\n",
-              ingestor.store().container_count(), ingestor.index().size());
-
-  auto& registry = obs::MetricsRegistry::global();
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   metrics_path.c_str());
-      return 2;
-    }
-    obs::write_metrics_json(registry.snapshot(), out);
-    std::printf("metrics: wrote %zu metrics to %s\n", registry.size(),
-                metrics_path.c_str());
-  }
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n", trace_path.c_str());
-      return 2;
-    }
-    auto& recorder = obs::TraceRecorder::global();
-    recorder.write_chrome_json(out);
-    std::printf("trace: wrote %zu events to %s (load at ui.perfetto.dev)\n",
-                recorder.event_count(), trace_path.c_str());
-  }
-  return 0;
-}
-
-int cmd_backup(const Args& args) {
-  if (args.flag("parallel-ingest")) return cmd_backup_parallel(args);
-  const auto kind = cli::engine_by_name(args.get("engine", "defrag"));
-  if (!kind) {
-    std::fprintf(stderr, "unknown engine; try `defrag-cli engines`\n");
+  const std::uint32_t keep_n = args.get_u32("gc-keep", 3);
+  if (keep_n < 1) {
+    std::fprintf(stderr, "--gc-keep: must keep at least one generation\n");
     return 2;
   }
-  const auto generations =
-      static_cast<std::uint32_t>(std::stoul(args.get("generations", "10")));
-  const auto users =
-      static_cast<std::uint32_t>(std::stoul(args.get("users", "1")));
-  const std::uint64_t seed = std::stoull(args.get("seed", "42"));
-  const bool verify = args.flag("verify");
   const std::string metrics_path = args.get("metrics-json", "");
   const std::string trace_path = args.get("trace-out", "");
   if (!trace_path.empty()) obs::TraceRecorder::global().enable();
 
   EngineConfig cfg;
-  cfg.defrag_alpha = std::stod(args.get("alpha", "0.1"));
+  cfg.defrag_alpha = args.get_double("alpha", 0.1);
   DedupSystem sys(*kind, cfg);
 
   auto fs = cli::fs_from(args);
@@ -264,8 +142,6 @@ int cmd_backup(const Args& args) {
   }
 
   if (args.flag("gc-keep")) {
-    const auto keep_n = static_cast<std::uint32_t>(
-        std::stoul(args.get("gc-keep", "3")));
     std::vector<std::uint32_t> keep;
     for (std::uint32_t g = generations - std::min(keep_n, generations) + 1;
          g <= generations; ++g) {
@@ -312,11 +188,9 @@ int cmd_backup(const Args& args) {
 
 int cmd_trace(const Args& args) {
   const std::string path = args.get("out", "backups.dftr");
-  const auto generations =
-      static_cast<std::uint32_t>(std::stoul(args.get("generations", "10")));
-  const auto users =
-      static_cast<std::uint32_t>(std::stoul(args.get("users", "1")));
-  const std::uint64_t seed = std::stoull(args.get("seed", "42"));
+  const std::uint32_t generations = args.get_u32("generations", 10);
+  const std::uint32_t users = args.get_u32("users", 1);
+  const std::uint64_t seed = args.get_u64("seed", 42);
 
   std::ofstream out(path, std::ios::binary);
   if (!out) {
@@ -385,8 +259,7 @@ int main(int argc, char** argv) {
                  "  backup: --engine NAME --generations N [--alpha A]\n"
                  "          [--users N] [--seed N] [--files N] [--verify]\n"
                  "          [--scrub] [--gc-keep N] [--metrics-json FILE]\n"
-                 "          [--trace-out FILE]\n"
-                 "          [--parallel-ingest N]\n");
+                 "          [--trace-out FILE]\n");
     return 2;
   }
   if (args->command == "engines") return cmd_engines();
