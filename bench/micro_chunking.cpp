@@ -193,7 +193,7 @@ void BM_Sha1MultiBuffer(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
   state.SetLabel(cpu::isa_level_name(level));
 }
-BENCHMARK(BM_Sha1MultiBuffer)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Sha1MultiBuffer)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_Sha256MultiBuffer(benchmark::State& state) {
   const auto level = static_cast<cpu::IsaLevel>(state.range(0));
@@ -212,7 +212,7 @@ void BM_Sha256MultiBuffer(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
   state.SetLabel(cpu::isa_level_name(level));
 }
-BENCHMARK(BM_Sha256MultiBuffer)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Sha256MultiBuffer)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_LzssCompress(benchmark::State& state) {
   // range(0): 0 = incompressible noise, 1 = LZ-friendly text extents.
@@ -376,7 +376,7 @@ void run_simd_checks() {
       .set(mb_per_s(batch_bytes, t_sha256_mb));
   reg.gauge("bench.simd.sha1_mb_speedup").set(sha1_speedup);
   reg.gauge("bench.simd.sha256_mb_speedup").set(sha256_speedup);
-  // On any host with SSE4.1+ the 4/8-lane kernels clear 1.5x with a wide
+  // On any host with SSE4.1+ the 4/8/16-lane kernels clear 1.5x with a wide
   // margin; a scalar-only host — or a run pinned down with
   // DEFRAG_FORCE_SCALAR=1 — passes vacuously (there is nothing to gate;
   // identity checks above still run).

@@ -11,7 +11,11 @@ IsaLevel detect() {
 #if defined(__x86_64__) || defined(__i386__)
   // __builtin_cpu_supports reads CPUID once at startup (libgcc/compiler-rt
   // caches it); both GCC and Clang provide it on x86.
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2")) {
+  // kAvx512 needs BW as well as F: the 16-lane SHA kernels byte-swap with
+  // vpshufb on zmm. Every AVX-512 part without BW is a Xeon Phi, so the
+  // gear kernel (F only) loses no real host to this.
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx2")) {
     return IsaLevel::kAvx512;
   }
   if (__builtin_cpu_supports("avx2")) return IsaLevel::kAvx2;

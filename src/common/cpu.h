@@ -25,7 +25,8 @@ enum class IsaLevel : int {
   kScalar = 0,  // portable C++, always available
   kSse41 = 1,   // SSE4.1 (128-bit integer compares)
   kAvx2 = 2,    // AVX2 (256-bit integer ops, used by the 8-lane SHA kernels)
-  kAvx512 = 3,  // AVX-512 F + AVX2 (512-bit gather/prefix gear scan)
+  kAvx512 = 3,  // AVX-512 F + BW + AVX2 (512-bit gather/prefix gear scan,
+                // 16-lane SHA kernels; BW for their byte swap)
 };
 
 /// Hardware capability via CPUID, independent of overrides. Detected once

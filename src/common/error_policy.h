@@ -39,8 +39,6 @@
 //   InputError        common    common     malformed caller-supplied data
 //                                          (bytes.cpp from_hex). Derives
 //                                          std::invalid_argument.
-//   ParallelForError  common    common     aggregate of task exceptions,
-//                                          rethrown by parallel_for.
 //   MetricsParseError obs       obs        defrag.metrics.v1 snapshot
 //                                          parse failure.
 //   WireError         service   service    malformed/oversized frame or
@@ -63,10 +61,6 @@
 //                             std::packaged_task, so any exception is
 //                             captured into the task's future and re-raised
 //                             at get(); nothing can escape the worker.
-//   ThreadPool::parallel_for  thread_pool.cpp  kind=catch   per-index
-//                             exceptions collected and rethrown as one
-//                             ParallelForError; the catch-all never
-//                             swallows.
 #pragma once
 
 namespace defrag::error_policy {
@@ -92,7 +86,6 @@ struct CatchBoundary {
 inline constexpr ErrorClass kCheckFailure{"CheckFailure", "common", "*"};
 inline constexpr ErrorClass kFailpointError{"FailpointError", "common", "*"};
 inline constexpr ErrorClass kInputError{"InputError", "common", "common"};
-inline constexpr ErrorClass kParallelForError{"ParallelForError", "common", "common"};
 inline constexpr ErrorClass kMetricsParseError{"MetricsParseError", "obs", "obs"};
 inline constexpr ErrorClass kWireError{"WireError", "service", "service"};
 inline constexpr ErrorClass kSocketError{"SocketError", "service", "service"};
@@ -102,6 +95,5 @@ inline constexpr ErrorClass kRemoteError{"RemoteError", "service", "service"};
 // The declared catch boundaries (one per line; parsed by the lint).
 inline constexpr CatchBoundary kSessionRun{"Session::run", "session.cpp", "catch"};
 inline constexpr CatchBoundary kWorkerLoop{"ThreadPool::worker_loop", "thread_pool.cpp", "future"};
-inline constexpr CatchBoundary kParallelFor{"ThreadPool::parallel_for", "thread_pool.cpp", "catch"};
 
 }  // namespace defrag::error_policy

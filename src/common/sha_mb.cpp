@@ -24,7 +24,7 @@ using std::uint32_t;
 using std::uint64_t;
 using std::uint8_t;
 
-/// SHA-256 round constants (FIPS 180-4), shared by both lane widths.
+/// SHA-256 round constants (FIPS 180-4), shared by every lane width.
 constexpr uint32_t kSha256K[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
@@ -121,6 +121,57 @@ constexpr uint8_t kZeroBlock[64] = {};
 #undef MB_STOREA
 #undef MB_BSWAP
 
+// ---- 16-lane AVX-512 kernels ---------------------------------------------
+// AVX-512BW for the byte shuffle (cpu::detect() requires it for kAvx512);
+// rotates are vprold/vprord and the round functions one vpternlogd each
+// (truth tables over x=0xF0, y=0xCC, z=0xAA). Like the transpose in the
+// kernel body, shifts, rotates, ternary logic and the broadcast use the
+// all-ones-mask maskz forms, which compute the same: GCC 12's unmasked
+// wrappers raise false -Wuninitialized warnings (GCC bug 105593).
+#define MB_ATTR __attribute__((target("avx2,avx512f,avx512bw")))
+#define MB_LANES 16
+#define MB_VEC __m512i
+#define MB_FN(x) x##_x16_avx512
+#define MB_ADD(a, b) _mm512_add_epi32((a), (b))
+#define MB_XOR(a, b) _mm512_xor_si512((a), (b))
+#define MB_AND(a, b) _mm512_and_si512((a), (b))
+#define MB_OR(a, b) _mm512_or_si512((a), (b))
+#define MB_SHLI(v, n) _mm512_maskz_slli_epi32(0xFFFF, (v), (n))
+#define MB_SHRI(v, n) _mm512_maskz_srli_epi32(0xFFFF, (v), (n))
+#define MB_SET1(x) _mm512_set1_epi32(static_cast<int>(x))
+#define MB_LOADU(p) _mm512_loadu_si512(p)
+#define MB_LOADA(p) _mm512_load_si512(p)
+#define MB_STOREA(p, v) _mm512_store_si512((p), (v))
+#define MB_BSWAP(v)                                                     \
+  _mm512_shuffle_epi8(                                                  \
+      (v), _mm512_maskz_broadcast_i32x4(                                \
+               0xFFFF, _mm_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, \
+                                     8, 15, 14, 13, 12)))
+#define MB_ROTL(v, n) _mm512_maskz_rol_epi32(0xFFFF, (v), (n))
+#define MB_ROTR(v, n) _mm512_maskz_ror_epi32(0xFFFF, (v), (n))
+#define MB_TERNLOG(x, y, z, table) \
+  _mm512_maskz_ternarylogic_epi32(0xFFFF, (x), (y), (z), (table))
+#define MB_CH(x, y, z) MB_TERNLOG((x), (y), (z), 0xCA)
+#define MB_MAJ(x, y, z) MB_TERNLOG((x), (y), (z), 0xE8)
+#define MB_XOR3(x, y, z) MB_TERNLOG((x), (y), (z), 0x96)
+#include "common/sha_mb_kernels.inc"  // NOLINT(bugprone-suspicious-include): X-macro body, included per lane width by design
+#undef MB_ATTR
+#undef MB_LANES
+#undef MB_VEC
+#undef MB_FN
+#undef MB_ADD
+#undef MB_XOR
+#undef MB_AND
+#undef MB_OR
+#undef MB_SHLI
+#undef MB_SHRI
+#undef MB_SET1
+#undef MB_LOADU
+#undef MB_LOADA
+#undef MB_STOREA
+#undef MB_BSWAP
+#undef MB_TERNLOG
+
 /// Per-message schedule: where each 64-byte block lives. The tail buffer
 /// materializes the final 1–2 padded blocks exactly as the incremental
 /// hashers' finish() would (0x80, zeros, 64-bit big-endian bit length).
@@ -211,10 +262,7 @@ void mb_drive(KernelFn kernel, const std::array<uint32_t, kWords>& init,
 
 #endif  // DEFRAG_SIMD_X86
 
-/// Clamp the requested level to what dispatch distinguishes here: the 8-lane
-/// AVX2 kernels also serve AVX-512 hosts (16-lane AVX-512 SHA would double
-/// lanes again, but fingerprinting stops being the bottleneck well before
-/// that — see DESIGN.md).
+/// Clamp the requested level to what this host supports.
 cpu::IsaLevel clamp_level(cpu::IsaLevel level) {
   if (static_cast<int>(level) > static_cast<int>(cpu::detected_isa_level())) {
     level = cpu::detected_isa_level();
@@ -229,7 +277,12 @@ void sha1_many_at(cpu::IsaLevel level, const ByteView* data, std::size_t n,
   if (n == 0) return;
   level = clamp_level(level);
 #if DEFRAG_SIMD_X86
-  if (n >= 2 && level >= cpu::IsaLevel::kAvx2) {
+  if (n >= 2 && level == cpu::IsaLevel::kAvx512) {
+    mb_drive<16, 5>(&sha1_blocks_x16_avx512, kSha1Init, data, n, out->data(),
+                    sizeof(Sha1::Digest));
+    return;
+  }
+  if (n >= 2 && level == cpu::IsaLevel::kAvx2) {
     mb_drive<8, 5>(&sha1_blocks_x8_avx2, kSha1Init, data, n, out->data(),
                    sizeof(Sha1::Digest));
     return;
@@ -248,7 +301,12 @@ void sha256_many_at(cpu::IsaLevel level, const ByteView* data, std::size_t n,
   if (n == 0) return;
   level = clamp_level(level);
 #if DEFRAG_SIMD_X86
-  if (n >= 2 && level >= cpu::IsaLevel::kAvx2) {
+  if (n >= 2 && level == cpu::IsaLevel::kAvx512) {
+    mb_drive<16, 8>(&sha256_blocks_x16_avx512, kSha256Init, data, n,
+                    out->data(), sizeof(Sha256::Digest));
+    return;
+  }
+  if (n >= 2 && level == cpu::IsaLevel::kAvx2) {
     mb_drive<8, 8>(&sha256_blocks_x8_avx2, kSha256Init, data, n, out->data(),
                    sizeof(Sha256::Digest));
     return;

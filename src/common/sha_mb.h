@@ -6,8 +6,10 @@
 // independent chunks, so the classic multi-buffer trick applies: interleave
 // N message schedules across the lanes of a vector register and run the
 // round function once per N blocks. The SSE4.1 kernel carries 4 lanes, the
-// AVX2 kernel 8 (AVX-512-capable hosts also use the 8-lane kernel; the
-// fingerprint path is then far from the bottleneck).
+// AVX2 kernel 8 and the AVX-512 kernel 16 (AVX-512F + BW, with one-
+// instruction rotates and ternary-logic round functions). Fingerprinting
+// sits on the backup's critical path next to chunking, so every lane
+// counts.
 //
 // Digests are BYTE-IDENTICAL to Sha1::hash / Sha256::hash for every message
 // independently of batch composition, lane assignment or ISA level — the
@@ -56,7 +58,7 @@ void sha256_many_at(cpu::IsaLevel level, const ByteView* data, std::size_t n,
 /// Not thread-safe; each ingest thread owns its batch.
 class FingerprintBatch {
  public:
-  /// Default capacity: big enough to fill 8 lanes several times over (the
+  /// Default capacity: big enough to fill 16 lanes several times over (the
   /// group scheduler sorts within the batch, so larger batches give it
   /// more evenly-sized groups), small enough to stay cache-resident.
   static constexpr std::size_t kDefaultCapacity = 64;

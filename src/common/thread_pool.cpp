@@ -1,8 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <atomic>
-#include <string>
-
 #include "common/check.h"
 
 namespace defrag {
@@ -45,55 +42,6 @@ void ThreadPool::worker_loop() {
     // the guard submit() wrapped around the fn (ordered before the future
     // is fulfilled — see stats()).
     task();
-  }
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  std::atomic<std::size_t> next{0};
-
-  // Join through futures: get() below guarantees every worker task has
-  // finished before `next`/`fn` go out of scope. (A hand-rolled condition
-  // variable here is a lifetime trap: the final worker can notify after the
-  // waiter has already destroyed it.)
-  const std::size_t workers = std::min(n, thread_count());
-  std::vector<std::future<void>> joins;
-  joins.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    joins.push_back(submit([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        fn(i);
-      }
-    }));
-  }
-
-  // Every future must be drained before anything can be thrown — bailing on
-  // the first failure would destroy `next`/`fn` under still-running workers.
-  // Failures are aggregated so one worker's error cannot hide another's.
-  std::size_t failures = 0;
-  std::string messages;
-  for (auto& j : joins) {
-    try {
-      j.get();
-    } catch (const std::exception& e) {
-      ++failures;
-      if (!messages.empty()) messages += "; ";
-      messages += e.what();
-    } catch (...) {  // throw-graph: boundary=ThreadPool::parallel_for —
-                     // rethrown aggregated as ParallelForError, not swallowed
-      ++failures;
-      if (!messages.empty()) messages += "; ";
-      messages += "<non-standard exception>";
-    }
-  }
-  if (failures > 0) {
-    throw ParallelForError(
-        "parallel_for: " + std::to_string(failures) + " of " +
-            std::to_string(workers) + " worker task(s) failed: " + messages,
-        failures);
   }
 }
 

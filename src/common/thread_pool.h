@@ -1,43 +1,25 @@
 // A small fixed-size thread pool. Its user in src/ is the helper pool of
 // the sliced chunk_and_fingerprint (dedup/chunk_prep.h), which submits
-// claim loops and joins its slices itself rather than through
-// parallel_for(), whose caller only waits. Tasks are type-erased
+// claim loops and joins its slices itself. Tasks are type-erased
 // std::move_only_function-style closures.
 //
-// Thread safety: submit()/parallel_for()/stats() may be called from any
-// thread, concurrently with the workers. The queue and lifecycle flags are
-// guarded by mu_ and statically checked via the annotations in
-// common/sync.h; the destructor must not race with submit() (callers own
-// that ordering, as with any object's destruction).
+// Thread safety: submit()/stats() may be called from any thread,
+// concurrently with the workers. The queue and lifecycle flags are guarded
+// by mu_ and statically checked via the annotations in common/sync.h; the
+// destructor must not race with submit() (callers own that ordering, as
+// with any object's destruction).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
-#include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/sync.h"
 
 namespace defrag {
-
-/// Aggregate failure of a ThreadPool::parallel_for(): thrown after *every*
-/// worker has joined, carrying each failed worker's message (so one bad
-/// index cannot hide the others) and the failure count.
-class ParallelForError : public std::runtime_error {
- public:
-  ParallelForError(const std::string& what, std::size_t failures)
-      : std::runtime_error(what), failures_(failures) {}
-
-  /// Number of worker tasks that terminated with an exception.
-  std::size_t failures() const { return failures_; }
-
- private:
-  std::size_t failures_;
-};
 
 class ThreadPool {
  public:
@@ -85,12 +67,6 @@ class ThreadPool {
     cv_.notify_one();
     return fut;
   }
-
-  /// Run fn(i) for i in [0, n) across the pool and wait for completion.
-  /// If any worker throws, every worker is still joined first (no task is
-  /// left running against dead stack frames), then a ParallelForError
-  /// aggregating all failures is thrown.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Snapshot of the task counters; submitted >= completed always, and they
   /// are equal once every returned future has been waited on.

@@ -3,8 +3,11 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "chunking/chunker.h"
@@ -79,40 +82,79 @@ void ParallelIngestor::Stream::feed(ByteView data) {
   const obs::TraceSpan span("parallel_ingest.feed", "ingest");
   DEFRAG_CHECK_MSG(!finished_, "feed() on a finished ingest stream");
   if (data.empty()) return;
-  st_.logical_bytes += data.size();
-  // Chunking + fingerprinting CPU, charged like the serial engines.
-  sim_.compute(static_cast<double>(data.size()) / 1e6 /
-               ingestor_.params_.cpu_mb_per_s);
-  const std::uint32_t max_size = ingestor_.params_.chunker.max_size;
-  if (carry_.size() + data.size() <= max_size) {
-    // Defer: once the buffer exceeds max_size its first chunk is certain
-    // to complete, so each chunking pass consumes the whole previous carry
-    // and every byte is chunked at most twice, however small the feeds.
-    carry_.reserve(max_size);
-    carry_.insert(carry_.end(), data.begin(), data.end());
+  if (carried_ == 0 && data.size() > ingestor_.params_.chunker.max_size) {
+    // Nothing carried: chunk the caller's bytes in place, keep the tail.
+    charge(data.size());
+    appender_.resume();
+    const ByteView tail = data.subspan(ingest(data, /*final=*/false));
+    appender_.park();
+    std::memcpy(room(tail.size()), tail.data(), tail.size());
+    carried_ = tail.size();
     return;
   }
-  appender_.resume();
-  if (carry_.empty()) {
-    // Nothing carried: chunk the caller's bytes in place, keep the tail.
-    const std::uint64_t used = ingest(data, /*final=*/false);
-    carry_.assign(data.begin() + static_cast<std::ptrdiff_t>(used), data.end());
-  } else {
-    carry_.reserve(carry_.size() + data.size());
-    carry_.insert(carry_.end(), data.begin(), data.end());
-    const std::uint64_t used = ingest(ByteView(carry_), /*final=*/false);
-    carry_.erase(carry_.begin(),
-                 carry_.begin() + static_cast<std::ptrdiff_t>(used));
+  std::memcpy(room(data.size()), data.data(), data.size());
+  consume(data.size());
+}
+
+std::uint8_t* ParallelIngestor::Stream::prepare(std::size_t n) {
+  DEFRAG_CHECK_MSG(!finished_, "prepare() on a finished ingest stream");
+  std::uint8_t* const at = room(n);
+  prepared_ = n;
+  return at;
+}
+
+void ParallelIngestor::Stream::commit(std::size_t n) {
+  const obs::TraceSpan span("parallel_ingest.feed", "ingest");
+  DEFRAG_CHECK_MSG(!finished_, "commit() on a finished ingest stream");
+  DEFRAG_CHECK_MSG(n <= prepared_, "commit() past the prepared room");
+  prepared_ = 0;
+  consume(n);
+}
+
+void ParallelIngestor::Stream::charge(std::size_t n) {
+  st_.logical_bytes += n;
+  // Chunking + fingerprinting CPU, charged like the serial engines.
+  sim_.compute(static_cast<double>(n) / 1e6 /
+               ingestor_.params_.cpu_mb_per_s);
+}
+
+std::uint8_t* ParallelIngestor::Stream::room(std::size_t n) {
+  if (carried_ + n > capacity_) {
+    // The carry is at most max_size between calls, so this capacity also
+    // fits every later piece of up to `n` bytes: a steady sender's buffer
+    // is allocated once.
+    const std::size_t cap = ingestor_.params_.chunker.max_size + n;
+    auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+    if (carried_ > 0) std::memcpy(grown.get(), buf_.get(), carried_);
+    buf_ = std::move(grown);
+    capacity_ = cap;
   }
+  return buf_.get() + carried_;
+}
+
+void ParallelIngestor::Stream::consume(std::size_t n) {
+  if (n == 0) return;
+  charge(n);
+  carried_ += n;
+  // Defer: once the buffer exceeds max_size its first chunk is certain to
+  // complete, so each chunking pass consumes the whole previous carry and
+  // every byte is chunked at most twice, however small the pieces.
+  if (carried_ <= ingestor_.params_.chunker.max_size) return;
+  appender_.resume();
+  const std::uint64_t used =
+      ingest(ByteView(buf_.get(), carried_), /*final=*/false);
   appender_.park();
+  carried_ -= used;
+  std::memmove(buf_.get(), buf_.get() + used, carried_);
 }
 
 StreamIngestStats ParallelIngestor::Stream::finish() {
   const obs::TraceSpan span("parallel_ingest.finish", "ingest");
   DEFRAG_CHECK_MSG(!finished_, "finish() called twice");
   appender_.resume();
-  ingest(ByteView(carry_), /*final=*/true);
-  carry_ = Bytes{};
+  ingest(ByteView(buf_.get(), carried_), /*final=*/true);
+  buf_.reset();
+  carried_ = 0;
   appender_.close();
   finished_ = true;
   st_.io = sim_.stats();

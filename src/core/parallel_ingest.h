@@ -26,20 +26,23 @@
 //
 // One ingest core, two entry points:
 //  - Stream: the incremental form. Construct it at the start of a backup,
-//    feed() each piece of the byte stream as it arrives (a defrag-serve
-//    session feeds one BACKUP_DATA frame at a time), finish() at the end.
-//    feed() chunks and fingerprints the carried tail plus the new bytes
+//    feed() each piece of the byte stream as it arrives, finish() at the
+//    end. A caller that reads the bytes itself (a defrag-serve session
+//    receiving a BACKUP_DATA frame) uses prepare()/commit() instead of
+//    feed(): it reads straight into the stream's buffer, behind the
+//    carried tail, so the piece is never copied before it is chunked.
+//    Each piece is chunked and fingerprinted with the carried tail
 //    (chunk_and_fingerprint, as the serial engines do, sliced across idle
-//    cores for large buffers) and holds back the last chunk, which may
-//    still grow; every chunker restarts its state at each chunk start, so
-//    the boundaries are bit-identical to chunking the whole stream at once
-//    and the carry never exceeds max_size. Feeds that leave the buffer
-//    within max_size are only carried, so tiny feeds cost no rescans. Each
-//    feed() resolves its own pending duplicates before returning, while it
-//    still holds their bytes, so no claim outlives a call. Between calls
-//    the stream's open container is parked
-//    (ContainerStore::StreamAppender::park), so a reader never waits on
-//    the feeder's pace.
+//    cores for large buffers), and its last chunk, which may still grow,
+//    is held back; every chunker restarts its state at each chunk start,
+//    so the boundaries are bit-identical to chunking the whole stream at
+//    once and the carry never exceeds max_size. Pieces that leave the
+//    buffer within max_size are only carried, so tiny pieces cost no
+//    rescans. Each feed() or commit() resolves its own pending duplicates
+//    before returning, while the stream still holds their bytes, so no
+//    claim outlives a call. Between calls the stream's open container is
+//    parked (ContainerStore::StreamAppender::park), so a reader never
+//    waits on the feeder's pace.
 //  - ingest_stream(stream, recipe): one Stream, one feed(), finish(). Safe
 //    to call from many threads concurrently, like Stream itself. With a
 //    non-null `recipe` it records one entry per chunk in stream order with
@@ -113,15 +116,32 @@ class ParallelIngestor {
     /// Ingest the next `data` bytes of the stream.
     void feed(ByteView data);
 
+    /// Room for the next `n` bytes of the stream, behind the carried tail
+    /// in the stream's own buffer (not zeroed). Valid until the next call
+    /// on the stream; bytes written there are ingested only by commit().
+    std::uint8_t* prepare(std::size_t n);
+
+    /// Ingest the first `n` bytes written to the last prepare()'s room,
+    /// exactly as feed() would ingest them. `n` is at most what that
+    /// prepare() asked for.
+    void commit(std::size_t n);
+
     /// Ingest the held-back tail, seal the stream's containers and return
-    /// its stats. Call once; no feed() afterwards.
+    /// its stats. Call once; no feed() or prepare() afterwards.
     StreamIngestStats finish();
 
-    /// Capacity of the carry buffer, which only grows until finish(): at
-    /// most the largest feed() plus the chunker's max_size.
-    std::uint64_t buffer_high_water() const { return carry_.capacity(); }
+    /// Capacity of the stream's buffer, which only grows until finish():
+    /// at most the largest piece plus the chunker's max_size.
+    std::uint64_t buffer_high_water() const { return capacity_; }
 
    private:
+    /// Count `n` logical bytes and charge their chunking CPU.
+    void charge(std::size_t n);
+    /// Grow the buffer so `n` bytes fit behind the carry; returns where.
+    std::uint8_t* room(std::size_t n);
+    /// The `n` bytes behind the carry join it; once the carry exceeds
+    /// max_size, ingest it and move the held-back tail to the front.
+    void consume(std::size_t n);
     /// Chunk, fingerprint, claim and append `buf`; unless `final`, hold
     /// back its last chunk. Returns the bytes consumed.
     std::uint64_t ingest(ByteView buf, bool final);
@@ -133,8 +153,14 @@ class ParallelIngestor {
     /// Published-location lookups charged for pending duplicates.
     std::uint64_t charged_ = 0;
     ContainerStore::StreamAppender appender_;
-    /// Bytes after the last consumed chunk boundary.
-    Bytes carry_;
+    /// buf_[0, carried_) holds the bytes after the last consumed chunk
+    /// boundary, at most max_size between calls; prepare() hands out the
+    /// room behind them. Not zeroed: every byte read was written first.
+    std::unique_ptr<std::uint8_t[]> buf_;
+    std::size_t capacity_ = 0;
+    std::size_t carried_ = 0;
+    /// Room handed out by the last prepare(), not yet committed.
+    std::size_t prepared_ = 0;
     bool finished_ = false;
   };
 

@@ -50,10 +50,20 @@ void Session::run() {
   auto& reg = obs::MetricsRegistry::global();
   try {
     while (true) {
-      const std::optional<Bytes> payload = conn_.recv_frame();
-      if (!payload.has_value()) break;  // clean EOF
+      const std::optional<std::uint32_t> len = conn_.recv_header();
+      if (!len.has_value()) break;  // clean EOF
+      std::uint8_t type = 0;
+      conn_.recv_payload(MutableByteView(&type, 1));
+      if (backup_.has_value() &&
+          frame_type(ByteView(&type, 1)) == FrameType::kBackupData) {
+        receive_backup_data(*len - 1);
+        continue;
+      }
+      Bytes payload(*len);
+      payload[0] = type;
+      conn_.recv_payload(MutableByteView(payload).subspan(1));
       const bool keep =
-          admitted_ ? handle(*payload) : handle_unadmitted(*payload);
+          admitted_ ? handle(payload) : handle_unadmitted(payload);
       if (!keep) break;
     }
   } catch (const WireError& e) {
@@ -186,10 +196,9 @@ bool Session::handle(ByteView payload) {
       return true;
     }
     case FrameType::kBackupData:
-      if (!backup_.has_value()) throw WireError("BACKUP_DATA outside a backup");
-      backup_->stream.feed(body);
-      note_buffer(backup_->stream.buffer_high_water());
-      return true;
+      // run() hands every BACKUP_DATA inside a backup to
+      // receive_backup_data().
+      throw WireError("BACKUP_DATA outside a backup");
     case FrameType::kBackupEnd:
       parse_empty(body);
       if (!backup_.has_value()) throw WireError("BACKUP_END outside a backup");
@@ -216,6 +225,13 @@ bool Session::handle(ByteView payload) {
     default:
       throw WireError("unexpected frame type from client");
   }
+}
+
+void Session::receive_backup_data(std::uint32_t n) {
+  ParallelIngestor::Stream& stream = backup_->stream;
+  conn_.recv_payload(MutableByteView(stream.prepare(n), n));
+  stream.commit(n);
+  note_buffer(stream.buffer_high_water());
 }
 
 bool Session::timed(const char* op, const std::function<bool()>& body) {

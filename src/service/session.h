@@ -21,7 +21,8 @@
 //
 // Data plane, streamed both ways through fixed-size buffers:
 //  - BACKUP_BEGIN opens a ParallelIngestor::Stream into a fresh Recipe;
-//    every BACKUP_DATA frame is fed to it as it arrives (chunked,
+//    every BACKUP_DATA frame's body is received straight into the stream's
+//    buffer (Stream::prepare/commit) and ingested as it arrives (chunked,
 //    fingerprinted, deduplicated and appended before the next frame is
 //    read); BACKUP_END finishes the stream and commits the recipe into the
 //    tenant's namespace. Between frames the stream's open container is
@@ -36,7 +37,8 @@
 //    race-free), and replays it through restore_with_strategy() straight
 //    into the outgoing RESTORE_DATA frame, sending each frame once full.
 //  - Session memory is one frame plus the chunker's max_size carry, not
-//    one backup; service.session.buffer_high_water_bytes reports it.
+//    one backup: a backup's frames land in the stream's buffer, which
+//    service.session.buffer_high_water_bytes reports.
 //
 // Metrics: session-scoped values accumulate in a session-local
 // MetricsRegistry under the tenant's "service.tenant.<slug>." scope and
@@ -108,6 +110,9 @@ class Session {
   bool handle_hello(ByteView body);
   /// One post-admission request. Returns false to close the connection.
   bool handle(ByteView payload);
+  /// Receive the open backup's next BACKUP_DATA body, `n` bytes, into
+  /// its stream and ingest it.
+  void receive_backup_data(std::uint32_t n);
   /// Finish the open backup, commit its recipe, answer BACKUP_DONE.
   bool do_backup_end();
   bool do_restore(const RestoreRequest& req);

@@ -95,6 +95,14 @@ void Conn::send_frame(ByteView payload) {
 }
 
 std::optional<Bytes> Conn::recv_frame() {
+  const std::optional<std::uint32_t> len = recv_header();
+  if (!len.has_value()) return std::nullopt;
+  Bytes payload(*len);
+  recv_payload(payload);
+  return payload;
+}
+
+std::optional<std::uint32_t> Conn::recv_header() {
   DEFRAG_FAILPOINT("service.recv_frame");
   std::uint8_t header[4];
   if (!read_all(header, sizeof header, /*eof_ok=*/true)) return std::nullopt;
@@ -102,14 +110,16 @@ std::optional<Bytes> Conn::recv_frame() {
   for (int i = 0; i < 4; ++i) {
     len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
   }
-  // The cap check MUST precede the allocation it sizes: a hostile header
-  // claiming kMaxFramePayload+1 is rejected having read only 4 bytes
-  // (tests/service/test_socket_hostile.cpp pins this order).
+  // The cap check MUST precede any allocation the length sizes: a hostile
+  // header claiming kMaxFramePayload+1 is rejected having read only 4
+  // bytes (tests/service/test_socket_hostile.cpp pins this order).
   if (len == 0) throw WireError("zero-length frame");
   if (len > kMaxFramePayload) throw WireError("frame length exceeds cap");
-  Bytes payload(len);
-  read_all(payload.data(), payload.size(), /*eof_ok=*/false);
-  return payload;
+  return len;
+}
+
+void Conn::recv_payload(MutableByteView out) {
+  read_all(out.data(), out.size(), /*eof_ok=*/false);
 }
 
 Conn connect_unix(const std::string& path) {

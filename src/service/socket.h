@@ -2,7 +2,8 @@
 //
 // Two small RAII types:
 //  - Conn: a connected socket. send_frame() writes `u32 len | payload`;
-//    recv_frame() reads one frame or reports clean EOF. Frame-level
+//    recv_frame() reads one frame or reports clean EOF; recv_header() +
+//    recv_payload() read one into a buffer the caller supplies. Frame-level
 //    malformations (oversized length, EOF mid-frame) throw WireError;
 //    syscall failures throw SocketError.
 //  - Listener: a bound+listening socket that owns its filesystem path
@@ -15,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -48,6 +50,17 @@ class Conn {
   /// closed between frames); throws WireError on EOF mid-frame, a zero
   /// length, or a length over kMaxFramePayload; SocketError on errno.
   std::optional<Bytes> recv_frame();
+
+  /// recv_frame() in two halves, for a caller that supplies the payload's
+  /// buffer. recv_header() reads one frame's length prefix and returns the
+  /// payload length, checked against kMaxFramePayload before the caller
+  /// can size anything by it, or nullopt on clean EOF; it throws like
+  /// recv_frame(). The caller then reads exactly that many bytes, in one
+  /// or more recv_payload() calls, before the next recv_header().
+  std::optional<std::uint32_t> recv_header();
+  /// Read the next out.size() payload bytes. Throws WireError on EOF,
+  /// SocketError on errno.
+  void recv_payload(MutableByteView out);
 
   int fd() const { return fd_; }
   void close();

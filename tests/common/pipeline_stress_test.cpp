@@ -9,6 +9,7 @@
 // missed lock shows up as a TSan report instead of a silent corruption.
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -56,13 +57,17 @@ TEST(PipelineStress, ThreadPoolConcurrentSubmitters) {
   EXPECT_EQ(stats.completed, kSubmitters * kTasksEach);
 }
 
-TEST(PipelineStress, ThreadPoolParallelForVisitsEachIndexOnce) {
+TEST(PipelineStress, ThreadPoolSubmitVisitsEachIndexOnce) {
   ThreadPool pool(8);
   constexpr std::size_t kN = 50000;
   std::vector<std::atomic<std::uint32_t>> visits(kN);
-  pool.parallel_for(kN, [&](std::size_t i) {
-    visits[i].fetch_add(1, std::memory_order_relaxed);
-  });
+  std::vector<std::future<void>> futures;
+  futures.reserve(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    futures.push_back(pool.submit(
+        [&visits, i] { visits[i].fetch_add(1, std::memory_order_relaxed); }));
+  }
+  for (auto& f : futures) f.get();
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(visits[i].load(), 1u) << "index " << i;
   }

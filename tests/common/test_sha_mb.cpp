@@ -1,6 +1,6 @@
-// Differential tests for multi-buffer SHA: every digest out of the 4- and
-// 8-lane kernels must be byte-identical to the scalar hashers, independent of
-// batch composition, message order or ISA level.
+// Differential tests for multi-buffer SHA: every digest out of the 4-, 8- and
+// 16-lane kernels must be byte-identical to the scalar hashers, independent
+// of batch composition, message order or ISA level.
 #include "common/sha_mb.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 
 #include "common/cpu.h"
 #include "common/fingerprint.h"
+#include "common/rng.h"
 #include "testing/data.h"
 
 namespace defrag {
@@ -74,6 +75,56 @@ TEST(ShaMbTest, Sha256MatchesScalarAtEveryLevel) {
           << "level=" << cpu::isa_level_name(level) << " len=" << msgs[i].size();
     }
   }
+}
+
+TEST(ShaMbTest, ChunkShapedBatchesMatchScalarAtEveryLevel) {
+  // Gear-chunk-like lengths (min 2 KiB, mean ~8 KiB, max 64 KiB, plus the
+  // odd short tail) in batches that leave 16-lane groups full, one short
+  // and one over, so idle lanes churn zero blocks next to long messages.
+  Xoshiro256 rng(17);
+  for (const std::size_t n : {std::size_t{2}, std::size_t{15}, std::size_t{16},
+                              std::size_t{17}, std::size_t{33},
+                              std::size_t{64}}) {
+    std::vector<Bytes> msgs;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t len = 2048 + rng.below(12 * 1024);
+      if (i % 7 == 3) len = 64 * 1024;
+      if (i % 11 == 5) len = rng.below(200);
+      msgs.push_back(testing::random_bytes(len, 500 + 100 * n + i));
+    }
+    const std::vector<ByteView> views = views_of(msgs);
+    for (cpu::IsaLevel level : all_levels()) {
+      std::vector<Sha1::Digest> out1(n);
+      std::vector<Sha256::Digest> out256(n);
+      simd::sha1_many_at(level, views.data(), n, out1.data());
+      simd::sha256_many_at(level, views.data(), n, out256.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(out1[i], Sha1::hash(views[i]))
+            << "level=" << cpu::isa_level_name(level) << " n=" << n
+            << " i=" << i << " len=" << msgs[i].size();
+        ASSERT_EQ(out256[i], Sha256::hash(views[i]))
+            << "level=" << cpu::isa_level_name(level) << " n=" << n
+            << " i=" << i << " len=" << msgs[i].size();
+      }
+    }
+  }
+}
+
+TEST(ShaMbTest, Avx512LevelRequiresAvx512Bw) {
+  // The 16-lane kernels byte-swap with a zmm vpshufb (AVX-512BW), so
+  // detection reports kAvx512 only when BW is present, not on F alone.
+#if defined(__x86_64__) || defined(__i386__)
+  if (cpu::detected_isa_level() >= cpu::IsaLevel::kAvx512) {
+    EXPECT_TRUE(__builtin_cpu_supports("avx512bw"));
+    EXPECT_TRUE(__builtin_cpu_supports("avx512f"));
+  } else if (__builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512bw") &&
+             __builtin_cpu_supports("avx2")) {
+    ADD_FAILURE() << "AVX-512 F+BW host not detected as kAvx512";
+  }
+#else
+  EXPECT_LT(cpu::detected_isa_level(), cpu::IsaLevel::kAvx512);
+#endif
 }
 
 TEST(ShaMbTest, DigestsIndependentOfBatchComposition) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <future>
+#include <stdexcept>
+#include <vector>
 
 #include "common/check.h"
 
@@ -27,28 +29,6 @@ TEST(ThreadPoolTest, ManyTasksAllRun) {
   EXPECT_EQ(count.load(), 500);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(ThreadPoolTest, ParallelForSingleItem) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  pool.parallel_for(1, [&](std::size_t i) {
-    EXPECT_EQ(i, 0u);
-    count.fetch_add(1);
-  });
-  EXPECT_EQ(count.load(), 1);
-}
-
 TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
   std::atomic<int> count{0};
   {
@@ -70,63 +50,36 @@ TEST(ThreadPoolTest, RejectsZeroThreads) {
   EXPECT_THROW(ThreadPool(0), CheckFailure);
 }
 
-TEST(ThreadPoolTest, ParallelForAggregatesEveryWorkerFailure) {
-  ThreadPool pool(4);
-  // Every index throws, so each of the min(n, threads) = 4 worker tasks
-  // dies on its first claimed index and all four failures must surface.
-  try {
-    pool.parallel_for(8, [](std::size_t i) {
-      throw std::runtime_error("idx" + std::to_string(i));
-    });
-    FAIL() << "expected ParallelForError";
-  } catch (const ParallelForError& e) {
-    EXPECT_EQ(e.failures(), 4u);
-    EXPECT_NE(std::string(e.what()).find("4 of 4"), std::string::npos);
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForCollectsDistinctMessages) {
-  ThreadPool pool(2);
-  try {
-    pool.parallel_for(2, [](std::size_t i) {
-      throw std::runtime_error(i == 0 ? "alpha" : "beta");
-    });
-    FAIL() << "expected ParallelForError";
-  } catch (const ParallelForError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("alpha"), std::string::npos);
-    EXPECT_NE(what.find("beta"), std::string::npos);
-    EXPECT_EQ(e.failures(), 2u);
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForJoinsSurvivorsBeforeThrowing) {
+TEST(ThreadPoolTest, FailingTaskLeavesOtherTasksRunning) {
   ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(200);
-  EXPECT_THROW(pool.parallel_for(200,
-                                 [&](std::size_t i) {
-                                   if (i == 0) throw std::runtime_error("one");
-                                   hits[i].fetch_add(1);
-                                 }),
-               ParallelForError);
-  // The surviving worker task must have processed every remaining index
-  // before parallel_for threw (no task left running after the call).
+  std::vector<std::future<void>> futures;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    futures.push_back(pool.submit([&hits, i] {
+      if (i == 0) throw std::runtime_error("one");
+      hits[i].fetch_add(1);
+    }));
+  }
+  EXPECT_THROW(futures[0].get(), std::runtime_error);
+  for (std::size_t i = 1; i < futures.size(); ++i) futures[i].get();
+  // The failure stayed in its own future: every other task ran once, and
+  // the failed one still counts as completed.
   for (std::size_t i = 1; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
   const auto stats = pool.stats();
+  EXPECT_EQ(stats.submitted, hits.size());
   EXPECT_EQ(stats.submitted, stats.completed);
 }
 
-TEST(ThreadPoolTest, ParallelForReportsNonStandardExceptions) {
+TEST(ThreadPoolTest, SubmitTransportsNonStandardExceptions) {
   ThreadPool pool(2);
+  auto f = pool.submit([]() -> int { throw 42; });
   try {
-    pool.parallel_for(1, [](std::size_t) { throw 42; });
-    FAIL() << "expected ParallelForError";
-  } catch (const ParallelForError& e) {
-    EXPECT_EQ(e.failures(), 1u);
-    EXPECT_NE(std::string(e.what()).find("<non-standard exception>"),
-              std::string::npos);
+    (void)f.get();
+    FAIL() << "expected the task's int";
+  } catch (int v) {
+    EXPECT_EQ(v, 42);
   }
 }
 

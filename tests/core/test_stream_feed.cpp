@@ -3,7 +3,8 @@
 // same recipe (fingerprint and size sequence), chunk count, unique and
 // duplicate bytes — for every chunker, at feed sizes around every carry
 // edge (1 byte, under min_size, exactly max_size, one past it, a whole
-// 4 MiB frame) and at seeded random splits.
+// 4 MiB frame) and at seeded random splits. The same holds for pieces
+// written straight into the stream's buffer with prepare()/commit().
 // Boundaries depend on the dispatched gear kernel, so CI also runs this
 // suite with the scalar kernel forced.
 #include <gtest/gtest.h>
@@ -75,6 +76,28 @@ class StreamFeedTest : public ::testing::TestWithParam<ChunkerKind> {
     return o;
   }
 
+  /// The same, through prepare()/commit(): each piece is written into the
+  /// stream's own buffer, as a session receives a BACKUP_DATA frame. The
+  /// room is asked for with `slack` spare bytes, which commit() leaves out.
+  Outcome committed(ByteView stream, const std::vector<std::size_t>& sizes,
+                    std::size_t slack = 0) const {
+    ParallelIngestor ingestor(params());
+    Outcome o;
+    ParallelIngestor::Stream s(ingestor, &o.recipe);
+    std::size_t off = 0;
+    for (std::size_t i = 0; off < stream.size(); ++i) {
+      const std::size_t n =
+          std::min(sizes[i % sizes.size()], stream.size() - off);
+      std::uint8_t* const room = s.prepare(n + slack);
+      std::copy_n(stream.begin() + static_cast<std::ptrdiff_t>(off), n, room);
+      s.commit(n);
+      off += n;
+    }
+    o.high_water = s.buffer_high_water();
+    o.st = s.finish();
+    return o;
+  }
+
   static void expect_same(const Outcome& want, const Outcome& got,
                           const std::string& what) {
     EXPECT_EQ(got.st.logical_bytes, want.st.logical_bytes) << what;
@@ -133,6 +156,55 @@ TEST_P(StreamFeedTest, SeededRandomSplitsMatchWholeBuffer) {
                                   max)
         << "split seed " << seed;
   }
+}
+
+TEST_P(StreamFeedTest, PrepareCommitMatchesWholeBuffer) {
+  const std::uint32_t max = params().chunker.max_size;
+  const Bytes small = stream_with_repeats(3 * max / 2, max / 2, 74);
+  const Outcome small_ref = whole(ByteView(small));
+  const Outcome ones = committed(ByteView(small), {1});
+  expect_same(small_ref, ones, "commit 1");
+  EXPECT_LE(ones.high_water, 1u + max);
+
+  const Bytes large = stream_with_repeats(4u << 20, 1u << 20, 75);
+  const Outcome large_ref = whole(ByteView(large));
+  ASSERT_GT(large_ref.st.dup_bytes, 0u);
+  for (const std::size_t piece :
+       {std::size_t{max} - 1, std::size_t{max}, std::size_t{max} + 1,
+        std::size_t{4u << 20}}) {
+    const Outcome got = committed(ByteView(large), {piece});
+    expect_same(large_ref, got, "commit " + std::to_string(piece));
+    EXPECT_LE(got.high_water, piece + max) << "commit " << piece;
+  }
+  // Rooms asked for with spare bytes: commit() takes only what it is told.
+  expect_same(large_ref, committed(ByteView(large), {max + 1, 7}, 100),
+              "commit with slack");
+
+  // One 16 MiB piece, then the stream's last 123 bytes.
+  const Bytes huge = stream_with_repeats(6u << 20, 4u << 20, 76);
+  const Outcome huge_ref = whole(ByteView(huge));
+  const Outcome one = committed(ByteView(huge), {16u << 20});
+  expect_same(huge_ref, one, "commit 16 MiB");
+  EXPECT_LE(one.high_water, (16u << 20) + max);
+}
+
+TEST_P(StreamFeedTest, PrepareWithoutCommitIngestsNothing) {
+  ParallelIngestor ingestor(params());
+  Recipe recipe;
+  ParallelIngestor::Stream s(ingestor, &recipe);
+  const Bytes data = testing::random_bytes(3 * params().chunker.max_size, 77);
+  std::copy(data.begin(), data.end(), s.prepare(data.size()));
+  // The receive failed: nothing committed, and the next piece reuses the
+  // room.
+  const Bytes next = testing::random_bytes(1000, 78);
+  std::copy(next.begin(), next.end(), s.prepare(next.size()));
+  s.commit(next.size());
+  const StreamIngestStats st = s.finish();
+  EXPECT_EQ(st.logical_bytes, next.size());
+  std::uint64_t bytes = 0;
+  for (const RecipeEntry& e : recipe.entries()) bytes += e.location.size;
+  EXPECT_EQ(bytes, next.size());
+  EXPECT_EQ(ingestor.index().pending_claims(), 0u);
 }
 
 TEST_P(StreamFeedTest, EmptyFeedsAndEmptyStreamAreNoOps) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -168,10 +169,14 @@ TEST(MetricsRegistryTest, CounterIsThreadSafe) {
 TEST(MetricsRegistryTest, ConcurrentRegistrationIsSafe) {
   MetricsRegistry reg;
   ThreadPool pool(4);
-  pool.parallel_for(64, [&reg](std::size_t i) {
-    reg.counter("shared.counter").add(1);
-    reg.counter("per." + std::to_string(i % 8)).add(1);
-  });
+  std::vector<std::future<void>> futures;
+  for (std::size_t i = 0; i < 64; ++i) {
+    futures.push_back(pool.submit([&reg, i] {
+      reg.counter("shared.counter").add(1);
+      reg.counter("per." + std::to_string(i % 8)).add(1);
+    }));
+  }
+  for (auto& f : futures) f.get();
   EXPECT_EQ(reg.counter("shared.counter").value(), 64u);
   EXPECT_EQ(reg.size(), 9u);
 }

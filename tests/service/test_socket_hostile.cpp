@@ -6,7 +6,9 @@
 //    enforced BEFORE the payload allocation (a 4-byte header claiming
 //    kMaxFramePayload+1 is rejected having allocated nothing — the
 //    bounded-memory guarantee src/service/socket.cpp documents), and
-//    truncation mid-frame is a WireError, never a hang or a crash.
+//    truncation mid-frame is a WireError, never a hang or a crash. The
+//    same holds for a Session inside a backup, which receives BACKUP_DATA
+//    bodies into its ingest stream's buffer instead of recv_frame()'s.
 //
 //  - Client against a hostile *server*: a scripted fake server on a real
 //    AF_UNIX listener answers with truncated, oversized, mistyped and
@@ -16,9 +18,11 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -27,9 +31,14 @@
 #include <utility>
 
 #include "common/bytes.h"
+#include "core/parallel_ingest.h"
+#include "obs/metrics.h"
 #include "service/client.h"
 #include "service/protocol.h"
+#include "service/scheduler.h"
+#include "service/session.h"
 #include "service/socket.h"
+#include "service/tenant.h"
 #include "service/wire.h"
 
 namespace defrag::service {
@@ -140,6 +149,77 @@ TEST(SocketHostileTest, SendFrameRefusesOversizedAndEmptyPayloads) {
   EXPECT_THROW(a.send_frame(ByteView(empty)), WireError);
   const Bytes oversized(kMaxFramePayload + 1, 0);
   EXPECT_THROW(a.send_frame(ByteView(oversized)), WireError);
+}
+
+// ---------------------------------------------------------------------------
+// A session receiving BACKUP_DATA straight into its ingest stream's buffer.
+
+TEST(SocketHostileTest, OversizedBackupDataHeaderRejectedInsideBackup) {
+  // Inside a backup the session sizes its stream's buffer by the frame
+  // length; the cap must still fire on the 4 header bytes alone. Only the
+  // header is sent, so a session that sized the buffer first would wait
+  // for a body that never comes instead of answering ERROR.
+  SessionScheduler scheduler{SchedulerLimits{}};
+  TenantCatalog catalog;
+  ParallelIngestor ingestor;
+  std::atomic<std::uint64_t> next_id{1};
+  int fds[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds));
+  const SessionEnv env{.scheduler = scheduler,
+                       .catalog = catalog,
+                       .ingestor = ingestor,
+                       .request_stop = [] {},
+                       .server_start = std::chrono::steady_clock::now(),
+                       .limits = SchedulerLimits{},
+                       .slow_request_us = 0,
+                       .next_request_id = &next_id};
+  std::thread session([fd = fds[1], env] { Session(Conn(fd), env).run(); });
+  Conn client(fds[0]);
+  // A wrong order shows up as a receive timeout, not a hung test.
+  const timeval timeout{10, 0};
+  EXPECT_EQ(0, ::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                            sizeof timeout));
+  const auto reply = [&client]() -> std::optional<Bytes> {
+    try {
+      return client.recv_frame();
+    } catch (const SocketError& e) {
+      ADD_FAILURE() << "no reply: " << e.what();
+      return std::nullopt;
+    }
+  };
+  HelloRequest hello;
+  hello.tenant = "hostile";
+  client.send_frame(encode(hello));
+  const std::optional<Bytes> hello_ok = reply();
+  BackupBeginRequest begin;
+  begin.label = "capped";
+  client.send_frame(encode(begin));
+  const std::optional<Bytes> ok = reply();
+  const std::uint64_t rejected_before =
+      obs::MetricsRegistry::global().counter("service.wire_errors").value();
+  // Raw bytes: send_frame() refuses an oversized payload.
+  const Bytes header = le32(kMaxFramePayload + 1);
+  EXPECT_EQ(::send(client.fd(), header.data(), header.size(), 0),
+            static_cast<ssize_t>(header.size()));
+  const std::optional<Bytes> error = reply();
+  const bool closed = !error.has_value() || !reply().has_value();
+  client.close();  // unblocks the session whatever it is waiting for
+  session.join();
+  scheduler.drain();
+
+  ASSERT_TRUE(hello_ok.has_value() && ok.has_value());
+  EXPECT_EQ(frame_type(*hello_ok), FrameType::kHelloOk);
+  EXPECT_EQ(frame_type(*ok), FrameType::kOk);
+  ASSERT_TRUE(error.has_value());
+  ASSERT_EQ(frame_type(*error), FrameType::kError);
+  EXPECT_EQ(parse_reason(frame_body(*error)), "frame length exceeds cap");
+  EXPECT_TRUE(closed) << "the session kept reading after a capped header";
+  EXPECT_EQ(
+      obs::MetricsRegistry::global().counter("service.wire_errors").value(),
+      rejected_before + 1);
+  // The failed backup committed nothing and left no claim behind.
+  EXPECT_EQ(catalog.list("hostile").size(), 0u);
+  EXPECT_EQ(ingestor.index().pending_claims(), 0u);
 }
 
 // ---------------------------------------------------------------------------
