@@ -18,16 +18,29 @@ using std::uint8_t;
 
 #if DEFRAG_SIMD_X86
 
+// The all-ones-mask forms of the unmasked intrinsics below compute the same
+// thing; GCC 12's unmasked wrappers raise false -Wmaybe-uninitialized
+// warnings (GCC bug 105593), as in common/sha_mb.cpp. The gather's merge
+// source is zero, which also breaks its false dependency on the old
+// destination.
+#define GEAR_SLLI(v, n) _mm512_maskz_slli_epi64(0xFF, (v), (n))
+#define GEAR_SLLV(v, n) _mm512_maskz_sllv_epi64(0xFF, (v), (n))
+#define GEAR_PERMUTE(idx, v) _mm512_maskz_permutexvar_epi64(0xFF, (idx), (v))
+#define GEAR_GATHER(bytes, table)                                      \
+  _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), 0xFF,            \
+                              _mm512_maskz_cvtepu8_epi64(0xFF, (bytes)), \
+                              (table), 8)
+
 /// Hillis-Steele prefix scan across the 8 u64 lanes of `g`: lane j becomes
 /// sum_{t<=j} g[t] << (j-t), i.e. the gear fold of 8 bytes starting from 0.
 __attribute__((target("avx2,avx512f"))) inline __m512i gear_prefix8(
     __m512i g) {
   __m512i sh = _mm512_maskz_alignr_epi64(0xfe, g, _mm512_setzero_si512(), 7);
-  g = _mm512_add_epi64(g, _mm512_slli_epi64(sh, 1));
+  g = _mm512_add_epi64(g, GEAR_SLLI(sh, 1));
   sh = _mm512_maskz_alignr_epi64(0xfc, g, _mm512_setzero_si512(), 6);
-  g = _mm512_add_epi64(g, _mm512_slli_epi64(sh, 2));
+  g = _mm512_add_epi64(g, GEAR_SLLI(sh, 2));
   sh = _mm512_maskz_alignr_epi64(0xf0, g, _mm512_setzero_si512(), 4);
-  g = _mm512_add_epi64(g, _mm512_slli_epi64(sh, 4));
+  g = _mm512_add_epi64(g, GEAR_SLLI(sh, 4));
   return g;
 }
 
@@ -51,28 +64,24 @@ __attribute__((target("avx2,avx512f"))) size_t gear_scan_avx512(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + pos));
     const __m128i b0 = _mm256_castsi256_si128(bytes);
     const __m128i b1 = _mm256_extracti128_si256(bytes, 1);
-    const __m512i g0 =
-        _mm512_i64gather_epi64(_mm512_cvtepu8_epi64(b0), table, 8);
-    const __m512i g1 = _mm512_i64gather_epi64(
-        _mm512_cvtepu8_epi64(_mm_srli_si128(b0, 8)), table, 8);
-    const __m512i g2 =
-        _mm512_i64gather_epi64(_mm512_cvtepu8_epi64(b1), table, 8);
-    const __m512i g3 = _mm512_i64gather_epi64(
-        _mm512_cvtepu8_epi64(_mm_srli_si128(b1, 8)), table, 8);
+    const __m512i g0 = GEAR_GATHER(b0, table);
+    const __m512i g1 = GEAR_GATHER(_mm_srli_si128(b0, 8), table);
+    const __m512i g2 = GEAR_GATHER(b1, table);
+    const __m512i g3 = GEAR_GATHER(_mm_srli_si128(b1, 8), table);
     const __m512i p0 = gear_prefix8(g0);
     __m512i p1 = gear_prefix8(g1);
     __m512i p2 = gear_prefix8(g2);
     __m512i p3 = gear_prefix8(g3);
-    const __m512i c0 = _mm512_permutexvar_epi64(seven, p0);
-    p1 = _mm512_add_epi64(p1, _mm512_sllv_epi64(c0, ls1));
-    const __m512i c1 = _mm512_permutexvar_epi64(seven, p1);
-    p2 = _mm512_add_epi64(p2, _mm512_sllv_epi64(c1, ls1));
-    const __m512i c2 = _mm512_permutexvar_epi64(seven, p2);
-    p3 = _mm512_add_epi64(p3, _mm512_sllv_epi64(c2, ls1));
-    const __m512i v0 = _mm512_add_epi64(p0, _mm512_sllv_epi64(hv, ls1));
-    const __m512i v1 = _mm512_add_epi64(p1, _mm512_sllv_epi64(hv, ls9));
-    const __m512i v2 = _mm512_add_epi64(p2, _mm512_sllv_epi64(hv, ls17));
-    const __m512i v3 = _mm512_add_epi64(p3, _mm512_sllv_epi64(hv, ls25));
+    const __m512i c0 = GEAR_PERMUTE(seven, p0);
+    p1 = _mm512_add_epi64(p1, GEAR_SLLV(c0, ls1));
+    const __m512i c1 = GEAR_PERMUTE(seven, p1);
+    p2 = _mm512_add_epi64(p2, GEAR_SLLV(c1, ls1));
+    const __m512i c2 = GEAR_PERMUTE(seven, p2);
+    p3 = _mm512_add_epi64(p3, GEAR_SLLV(c2, ls1));
+    const __m512i v0 = _mm512_add_epi64(p0, GEAR_SLLV(hv, ls1));
+    const __m512i v1 = _mm512_add_epi64(p1, GEAR_SLLV(hv, ls9));
+    const __m512i v2 = _mm512_add_epi64(p2, GEAR_SLLV(hv, ls17));
+    const __m512i v3 = _mm512_add_epi64(p3, GEAR_SLLV(hv, ls25));
     const unsigned hits =
         static_cast<unsigned>(_mm512_testn_epi64_mask(v0, vmask)) |
         (static_cast<unsigned>(_mm512_testn_epi64_mask(v1, vmask)) << 8) |
@@ -88,13 +97,18 @@ __attribute__((target("avx2,avx512f"))) size_t gear_scan_avx512(
       h = out[static_cast<unsigned>(j)];
       return pos + static_cast<size_t>(j) + 1;
     }
-    hv = _mm512_permutexvar_epi64(seven, v3);
+    hv = GEAR_PERMUTE(seven, v3);
     pos += 32;
   }
   h = static_cast<uint64_t>(
-      _mm_cvtsi128_si64(_mm512_castsi512_si128(hv)));
+      _mm_cvtsi128_si64(_mm512_maskz_extracti32x4_epi32(0xF, hv, 0)));
   return gear_scan_scalar(data, pos, end, mask, h, table);
 }
+
+#undef GEAR_SLLI
+#undef GEAR_SLLV
+#undef GEAR_PERMUTE
+#undef GEAR_GATHER
 
 #endif  // DEFRAG_SIMD_X86
 

@@ -107,7 +107,9 @@ Sha1::Digest Sha1::finish() {
   update({len_be, 8});
 
   Digest out;
-  for (int i = 0; i < 5; ++i) store_be32(out.data() + 4 * i, state_[i]);
+  for (std::size_t i = 0; i < 5; ++i) {
+    store_be32(out.data() + 4 * i, state_[i]);
+  }
   return out;
 }
 

@@ -123,7 +123,9 @@ Sha256::Digest Sha256::finish() {
   update({len_be, 8});
 
   Digest out;
-  for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state_[i]);
+  for (std::size_t i = 0; i < 8; ++i) {
+    store_be32(out.data() + 4 * i, state_[i]);
+  }
   return out;
 }
 

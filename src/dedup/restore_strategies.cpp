@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/fingerprint.h"
 #include "dedup/engine.h"
+#include "storage/container.h"
 #include "storage/container_store.h"
 #include "storage/disk_model.h"
 #include "storage/lru_cache.h"
@@ -33,15 +34,19 @@ RestoreResult restore_container_lru(const ContainerStore& store,
                                     const RestoreOptions& options,
                                     const RestoreSink& sink) {
   RestoreResult res;
-  LruCache<ContainerId, char> cache(
+  // The cached value is the container load() returned, so a hit reads the
+  // chunk without going back to the store (and its lock).
+  LruCache<ContainerId, const Container*> cache(
       std::max<std::size_t>(1, options.cache_containers));
   for (const RecipeEntry& e : recipe.entries()) {
-    if (cache.get(e.location.container) == nullptr) {
-      store.load(e.location.container, sim);
-      cache.put(e.location.container, 0);
+    const Container* const* cached = cache.get(e.location.container);
+    const Container* c = cached != nullptr ? *cached : nullptr;
+    if (c == nullptr) {
+      c = &store.load(e.location.container, sim);
+      cache.put(e.location.container, c);
       ++res.container_loads;
     }
-    if (sink) sink(store.peek(e.location.container).read(e.location));
+    if (sink) sink(c->read(e.location));
     res.logical_bytes += e.location.size;
   }
   res.cache_hit_rate = cache.hit_rate();

@@ -43,7 +43,10 @@ struct RestoreOptions {
 };
 
 /// Receives the restored stream in recipe order, one chunk's bytes per
-/// call. The view is valid only for the duration of the call.
+/// call. The view points into the chunk's sealed container, which the
+/// store never frees or modifies (ContainerStore), so it stays valid as
+/// long as the store lives: a sink may keep views past its call and
+/// send them later without copying.
 using RestoreSink = std::function<void(ByteView)>;
 
 /// Restore `recipe` from `store` under the given strategy, charging I/O to a

@@ -38,7 +38,10 @@ std::string format_timestamp() {
                   1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[40];
+  // Room for the widest output the format allows for any int fields, so
+  // the compiler can prove it is never truncated (a real timestamp uses 24
+  // bytes).
+  char buf[64];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(ms));

@@ -31,6 +31,7 @@ Server::Server(const ServerConfig& config)
   reg.counter("service.restores");
   reg.counter("service.bytes_ingested");
   reg.counter("service.bytes_restored");
+  reg.counter("service.restore.extents");
   reg.counter("service.wire_errors");
   reg.counter("service.requests_slow");
   reg.counter("service.session_internal_errors");

@@ -6,10 +6,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/check.h"
@@ -32,8 +32,10 @@ namespace defrag::service {
 
 namespace {
 
-/// RESTORE_DATA framing granularity (well under kMaxFramePayload).
-constexpr std::uint64_t kRestoreDataChunk = 4ull << 20;
+/// RESTORE_DATA body size. Frames are gathered from the containers, so
+/// this sets only how the restore is pipelined: the client's first byte
+/// waits for one frame's recipe walk.
+constexpr std::uint64_t kRestoreDataChunk = 1ull << 20;
 
 double us_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(
@@ -317,36 +319,57 @@ bool Session::do_restore(const RestoreRequest& req) {
   // Another tenant's in-flight backup may still hold a referenced
   // container open; wait for every distinct container's seal to be
   // published before reading (bounded by that stream's appender close).
-  std::set<ContainerId> referenced;
+  // Recipes reference containers in long runs, so collapsing runs first
+  // leaves little to sort.
+  std::vector<ContainerId> referenced;
   for (const RecipeEntry& e : recipe->entries()) {
-    referenced.insert(e.location.container);
+    if (referenced.empty() || referenced.back() != e.location.container) {
+      referenced.push_back(e.location.container);
+    }
   }
+  std::sort(referenced.begin(), referenced.end());
+  referenced.erase(std::unique(referenced.begin(), referenced.end()),
+                   referenced.end());
   const ContainerStore& store = env_.ingestor.store();
   for (const ContainerId id : referenced) store.wait_sealed(id);
 
-  // Assemble straight into the outgoing RESTORE_DATA payload and send each
-  // frame as soon as it is full: the session holds one frame, not the
-  // backup, and the client's first byte leaves after one frame's assembly.
-  const std::size_t full = 1 + kRestoreDataChunk;  // type byte + body
-  Bytes frame = encode_restore_data(ByteView());
-  frame.reserve(full);
-  note_buffer(frame.capacity());
+  // Send straight from the containers: the sink's views stay valid while
+  // the store lives (RestoreSink), so each RESTORE_DATA frame is a gather
+  // list of them, with chunks adjacent in a container merged into one run,
+  // and leaves as soon as it holds kRestoreDataChunk bytes. The session
+  // copies no restored byte, and the client's first byte leaves after one
+  // frame's recipe walk.
+  const std::uint8_t type = static_cast<std::uint8_t>(FrameType::kRestoreData);
+  std::vector<ByteView> parts{ByteView(&type, 1)};
+  std::uint64_t frame_bytes = 0;
+  std::uint64_t extents = 0;  // contiguous container runs sent
+  const std::uint8_t* run_end = nullptr;
   const RestoreOptions options;
   const RestoreResult rr = restore_with_strategy(
       store, *recipe, env_.ingestor.params().disk, options,
       [&](ByteView bytes) {
+        if (bytes.empty()) return;
+        if (bytes.data() != run_end) ++extents;
+        run_end = bytes.data() + bytes.size();
         while (!bytes.empty()) {
-          const std::size_t n = std::min(bytes.size(), full - frame.size());
-          const ByteView part = bytes.first(n);
-          frame.insert(frame.end(), part.begin(), part.end());
+          const std::size_t n = std::min<std::uint64_t>(
+              bytes.size(), kRestoreDataChunk - frame_bytes);
+          ByteView& last = parts.back();
+          if (parts.size() > 1 && last.data() + last.size() == bytes.data()) {
+            last = ByteView(last.data(), last.size() + n);
+          } else {
+            parts.push_back(bytes.first(n));
+          }
+          frame_bytes += n;
           bytes = bytes.subspan(n);
-          if (frame.size() == full) {
-            send(frame);
-            frame.resize(1);
+          if (frame_bytes == kRestoreDataChunk) {
+            conn_.send_frame_gather(parts);
+            parts.resize(1);
+            frame_bytes = 0;
           }
         }
       });
-  if (frame.size() > 1) send(frame);
+  if (frame_bytes > 0) conn_.send_frame_gather(parts);
 
   local_.counter(scope_ + "restores").add(1);
   local_.counter(scope_ + "restored_bytes").add(rr.logical_bytes);
@@ -354,6 +377,7 @@ bool Session::do_restore(const RestoreRequest& req) {
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("service.restores").add(1);
   reg.counter("service.bytes_restored").add(rr.logical_bytes);
+  reg.counter("service.restore.extents").add(extents);
   flush_metrics();
   DEFRAG_LOG_INFO("session.restore", {"tenant", tenant_},
                   {"backup_id", req.backup_id},

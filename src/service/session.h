@@ -19,7 +19,7 @@
 //    BACKUP_BEGIN to BACKUP_DONE, so its span and backup_us cover the
 //    ingest that runs while its BACKUP_DATA frames arrive.
 //
-// Data plane, streamed both ways through fixed-size buffers:
+// Data plane, streamed both ways:
 //  - BACKUP_BEGIN opens a ParallelIngestor::Stream into a fresh Recipe;
 //    every BACKUP_DATA frame's body is received straight into the stream's
 //    buffer (Stream::prepare/commit) and ingested as it arrives (chunked,
@@ -34,11 +34,15 @@
 //  - RESTORE fetches the recipe, waits for every container it references
 //    to be *sealed* (ContainerStore::wait_sealed — the barrier that makes
 //    restoring concurrently with other tenants' in-flight backups
-//    race-free), and replays it through restore_with_strategy() straight
-//    into the outgoing RESTORE_DATA frame, sending each frame once full.
-//  - Session memory is one frame plus the chunker's max_size carry, not
-//    one backup: a backup's frames land in the stream's buffer, which
-//    service.session.buffer_high_water_bytes reports.
+//    race-free), and replays it through restore_with_strategy(). The
+//    sink's views point into sealed containers, so each 1 MiB RESTORE_DATA
+//    frame is sent straight from them with one gathered write
+//    (Conn::send_frame_gather); the session copies no restored byte.
+//  - Session memory is bounded by design, not by the backup's size: a
+//    backup's frames land in the stream's buffer (one frame plus the
+//    chunker's max_size carry), which
+//    service.session.buffer_high_water_bytes reports; a restore holds only
+//    one frame's list of views.
 //
 // Metrics: session-scoped values accumulate in a session-local
 // MetricsRegistry under the tenant's "service.tenant.<slug>." scope and
@@ -159,7 +163,8 @@ class Session {
     ParallelIngestor::Stream stream;
   };
   std::optional<Backup> backup_;
-  /// Largest ingest carry or restore frame buffer this session has held.
+  /// Largest ingest buffer (carry plus one BACKUP_DATA frame) this
+  /// session has held.
   std::uint64_t buffer_high_water_ = 0;
 };
 

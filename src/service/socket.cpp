@@ -2,16 +2,21 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/failpoint.h"
@@ -46,20 +51,6 @@ void Conn::close() {
   }
 }
 
-void Conn::write_all(const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (len > 0) {
-    // MSG_NOSIGNAL: a vanished peer is a SocketError, not a SIGPIPE death.
-    const ssize_t n = ::send(fd_, p, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("send");
-    }
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-}
-
 bool Conn::read_all(void* data, std::size_t len, bool eof_ok) {
   auto* p = static_cast<std::uint8_t*>(data);
   std::size_t got = 0;
@@ -79,19 +70,54 @@ bool Conn::read_all(void* data, std::size_t len, bool eof_ok) {
 }
 
 void Conn::send_frame(ByteView payload) {
+  send_frame_gather(std::span<const ByteView>(&payload, 1));
+}
+
+void Conn::send_frame_gather(std::span<const ByteView> parts) {
   // Before the header write: an injected fault must never leave a partial
   // frame on the wire (the peer would misparse the next frame's header).
   DEFRAG_FAILPOINT("service.send_frame");
-  if (payload.empty() || payload.size() > kMaxFramePayload) {
+  std::uint64_t total = 0;
+  for (const ByteView part : parts) total += part.size();
+  if (total == 0 || total > kMaxFramePayload) {
     throw WireError("frame payload size out of range");
   }
   std::uint8_t header[4];
-  const auto len = static_cast<std::uint32_t>(payload.size());
+  const auto len = static_cast<std::uint32_t>(total);
   for (int i = 0; i < 4; ++i) {
     header[i] = static_cast<std::uint8_t>(len >> (8 * i));
   }
-  write_all(header, sizeof header);
-  write_all(payload.data(), payload.size());
+  std::vector<iovec> iov;
+  iov.reserve(parts.size() + 1);
+  iov.push_back(iovec{header, sizeof header});
+  for (const ByteView part : parts) {
+    if (part.empty()) continue;
+    // sendmsg() only reads through iov_base; the cast drops no real const.
+    iov.push_back(iovec{const_cast<std::uint8_t*>(part.data()), part.size()});
+  }
+  std::size_t first = 0;  // iov[first] is the first part not fully sent
+  while (first < iov.size()) {
+    msghdr msg{};
+    msg.msg_iov = iov.data() + first;
+    msg.msg_iovlen = std::min<std::size_t>(iov.size() - first, IOV_MAX);
+    // MSG_NOSIGNAL: a vanished peer is a SocketError, not a SIGPIPE death.
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("sendmsg");
+    }
+    // Skip what the kernel took; a partial write resumes mid-part.
+    auto sent = static_cast<std::size_t>(n);
+    while (first < iov.size() && sent >= iov[first].iov_len) {
+      sent -= iov[first].iov_len;
+      ++first;
+    }
+    if (sent > 0) {
+      iov[first].iov_base =
+          static_cast<std::uint8_t*>(iov[first].iov_base) + sent;
+      iov[first].iov_len -= sent;
+    }
+  }
 }
 
 std::optional<Bytes> Conn::recv_frame() {

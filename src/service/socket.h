@@ -2,6 +2,8 @@
 //
 // Two small RAII types:
 //  - Conn: a connected socket. send_frame() writes `u32 len | payload`;
+//    send_frame_gather() writes the same frame with the payload gathered
+//    from several caller buffers by sendmsg(), copying none of them;
 //    recv_frame() reads one frame or reports clean EOF; recv_header() +
 //    recv_payload() read one into a buffer the caller supplies. Frame-level
 //    malformations (oversized length, EOF mid-frame) throw WireError;
@@ -18,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -46,6 +49,13 @@ class Conn {
   /// WireError when the payload exceeds kMaxFramePayload.
   void send_frame(ByteView payload);
 
+  /// Frame and send the concatenation of `parts` as one payload, written
+  /// straight from the parts' memory (sendmsg, any number of parts, partial
+  /// writes resumed). Empty parts are skipped. Throws like send_frame(); a
+  /// payload that is empty or over kMaxFramePayload is rejected before any
+  /// byte is written, and so is an armed "service.send_frame" failpoint.
+  void send_frame_gather(std::span<const ByteView> parts);
+
   /// Receive one frame's payload. Returns nullopt on clean EOF (peer
   /// closed between frames); throws WireError on EOF mid-frame, a zero
   /// length, or a length over kMaxFramePayload; SocketError on errno.
@@ -66,7 +76,6 @@ class Conn {
   void close();
 
  private:
-  void write_all(const void* data, std::size_t len);
   /// Reads exactly len bytes. Returns false on EOF before the first byte
   /// (only legal when eof_ok); throws WireError on EOF after it.
   bool read_all(void* data, std::size_t len, bool eof_ok);

@@ -40,6 +40,14 @@
 // seal on resume() and rolls to a fresh container at its next append.
 // Placement therefore changes only when a reader actually waits.
 //
+// Lifetime and immutability: containers are heap-allocated and never
+// removed from the table, and a sealed container is never modified (its
+// payload is reserved at full capacity when it opens, so appends never move
+// it either). A reference from load()/peek(), and every ByteView read out
+// of a sealed container, therefore stays valid and unchanged until the
+// store is destroyed or assigned over (quiescence-only). Restores rely on
+// this to send chunk views straight from the containers, without a copy.
+//
 // The ObsHandles counters are process-wide relaxed atomics (see
 // obs/metrics.h) and safe from any thread.
 #pragma once

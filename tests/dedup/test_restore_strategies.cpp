@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "common/fingerprint.h"
 #include "common/sha256.h"
 #include "core/dedup_system.h"
+#include "storage/container_store.h"
+#include "storage/recipe.h"
 #include "testing/data.h"
 #include "testing/engine_config.h"
 #include "workload/backup_series.h"
@@ -162,6 +169,59 @@ TEST(RestoreStrategyComparisonTest, TinyAssemblyAreaStillCorrect) {
   restore_with_strategy(base.container_store(), base.recipe_store().get(1),
                         base.config().disk, opt, &out);
   EXPECT_EQ(out, stream);
+}
+
+// The sink contract the daemon's zero-copy restore relies on: a view handed
+// to the sink points into a sealed container, so it may be kept past its
+// call and read after the walk, even while another stream appends to the
+// same store and rolls container after container.
+TEST(RestoreSinkTest, KeptViewsMatchAfterTheWalkWhileAnotherStreamRolls) {
+  ContainerStore store(64 * 1024);
+  const Bytes data = testing::random_bytes(1u << 20, 4044);
+  Recipe recipe("kept");
+  {
+    DiskSim sim;
+    ContainerStore::StreamAppender appender = store.open_stream();
+    for (std::size_t off = 0; off < data.size(); off += 4096) {
+      const ByteView chunk = ByteView(data).subspan(off, 4096);
+      const Fingerprint fp = Fingerprint::of(chunk);
+      recipe.add(fp, appender.append(fp, chunk, 0, sim));
+    }
+    appender.close();
+  }
+  const std::size_t before = store.container_count();
+
+  // 2,000 distinct 8 KiB chunks: ~250 more 64 KiB containers.
+  std::atomic<int> appended{0};
+  std::thread writer([&] {
+    DiskSim sim;
+    ContainerStore::StreamAppender appender = store.open_stream();
+    Bytes chunk = testing::random_bytes(8192, 4045);
+    for (int i = 0; i < 2000; ++i) {
+      chunk[0] = static_cast<std::uint8_t>(i);
+      chunk[1] = static_cast<std::uint8_t>(i >> 8);
+      appender.append(Fingerprint::of(chunk), chunk, 0, sim);
+      appended.fetch_add(1);
+    }
+    appender.close();
+  });
+
+  std::vector<ByteView> kept;
+  const RestoreResult r = restore_with_strategy(
+      store, recipe, DiskModel{}, RestoreOptions{}, [&](ByteView b) {
+        // Let the writer roll a few containers before the walk goes on.
+        if (kept.empty()) {
+          while (appended.load() < 100) std::this_thread::yield();
+        }
+        kept.push_back(b);
+      });
+  writer.join();
+  EXPECT_GT(store.container_count(), before + 200);
+
+  Bytes out;
+  for (const ByteView b : kept) out.insert(out.end(), b.begin(), b.end());
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(r.logical_bytes, data.size());
 }
 
 }  // namespace

@@ -133,8 +133,8 @@ TEST_F(IntrospectionE2ETest, TwoTenantsFourSessionsAcceptance) {
   for (int t = 0; t < kTenants; ++t) {
     for (int s = 0; s < kSessionsPerTenant; ++s) {
       threads.emplace_back([this, t, s, &ids_mu, &session_ids] {
-        const Bytes data =
-            testing::random_bytes(512 * 1024, 9000 + t * 100 + s);
+        const Bytes data = testing::random_bytes(
+            512 * 1024, static_cast<std::uint64_t>(9000 + t * 100 + s));
         Client client(path(), "tenant-" + std::to_string(t));
         {
           const std::lock_guard<std::mutex> guard(ids_mu);

@@ -4,9 +4,10 @@
 //  - liveness: a backup stalled between BACKUP_DATA frames keeps its open
 //    container parked, so another tenant whose restore needs that container
 //    seals it instead of waiting on the stalled client;
-//  - bounded memory: a session holds one frame plus the chunker's max_size
-//    carry, reported by service.session.buffer_high_water_bytes, and the
-//    restore is still cut into full 4 MiB RESTORE_DATA frames.
+//  - bounded memory: a backup holds one frame plus the chunker's max_size
+//    carry, reported by service.session.buffer_high_water_bytes; a restore
+//    holds no data buffer at all, and is still cut into full 1 MiB
+//    RESTORE_DATA frames gathered straight from the containers.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -30,12 +32,14 @@
 #include "service/session.h"
 #include "service/socket.h"
 #include "service/tenant.h"
+#include "storage/recipe.h"
 #include "testing/data.h"
 
 namespace defrag::service {
 namespace {
 
 constexpr std::size_t kFrame = 4u << 20;  // the client's BACKUP_DATA size
+constexpr std::size_t kRestoreFrame = 1u << 20;  // the session's RESTORE_DATA
 
 /// Receive one frame of type `want` and return its body.
 Bytes expect(Conn& conn, FrameType want) {
@@ -168,7 +172,7 @@ TEST_F(SessionStreamTest, StalledBackupNeverBlocksAnotherTenantsRestore) {
 }
 
 TEST_F(SessionStreamTest, BufferHighWaterStaysWithinOneFramePlusMaxSize) {
-  // Spans three BACKUP_DATA and RESTORE_DATA frames.
+  // Spans three BACKUP_DATA and nine RESTORE_DATA frames.
   const Bytes data = testing::random_bytes(2 * kFrame + 12345, 5103);
   Conn& conn = open_session("bounded");
   begin_backup(conn, "big");
@@ -176,17 +180,39 @@ TEST_F(SessionStreamTest, BufferHighWaterStaysWithinOneFramePlusMaxSize) {
   const BackupDoneResponse done = end_backup(conn);
   std::vector<std::size_t> frames;
   EXPECT_EQ(restore(conn, done.backup_id, &frames), data);
-  EXPECT_EQ(frames, (std::vector<std::size_t>{kFrame, kFrame, 12345}));
+  std::vector<std::size_t> want(2 * kFrame / kRestoreFrame, kRestoreFrame);
+  want.push_back(12345);
+  EXPECT_EQ(frames, want);
 
+  // Only the backup's stream buffer counts: one BACKUP_DATA body plus the
+  // carried tail. The restore sends from the containers.
   const double high_water =
       obs::MetricsRegistry::global()
           .gauge("service.session.buffer_high_water_bytes")
           .value();
-  const std::uint64_t frame_payload = 1 + kFrame;  // type byte + body
-  EXPECT_GE(high_water, static_cast<double>(frame_payload));
+  EXPECT_GE(high_water, static_cast<double>(kFrame));
   EXPECT_LE(high_water,
-            static_cast<double>(frame_payload +
-                                ingestor_.params().chunker.max_size));
+            static_cast<double>(kFrame + ingestor_.params().chunker.max_size));
+}
+
+TEST_F(SessionStreamTest, RestoreExtentsCountContainerRuns) {
+  // One stream's unique data lies back to back in its containers, so its
+  // restore sends one run per container, even where a run spans frames.
+  const Bytes data = testing::random_bytes(6u << 20, 5104);
+  Conn& conn = open_session("runs");
+  begin_backup(conn, "runs");
+  send_data(conn, ByteView(data));
+  const BackupDoneResponse done = end_backup(conn);
+  const std::shared_ptr<const Recipe> recipe =
+      catalog_.find("runs", done.backup_id);
+  ASSERT_NE(recipe, nullptr);
+  ASSERT_GT(recipe->distinct_containers(), 1u);
+
+  obs::Counter& extents =
+      obs::MetricsRegistry::global().counter("service.restore.extents");
+  const std::uint64_t before = extents.value();
+  EXPECT_EQ(restore(conn, done.backup_id), data);
+  EXPECT_EQ(extents.value() - before, recipe->distinct_containers());
 }
 
 }  // namespace

@@ -62,9 +62,10 @@ echo "== concurrent multi-tenant backup/restore (2 tenants x 4 sessions)"
     --generations 2 --files 8
 
 echo "== multi-frame backup restores bit-identically through --out"
-# 10 MiB spans three 4 MiB BACKUP_DATA and RESTORE_DATA frames: the session
-# ingests the stream frame by frame and streams the restore back, and the
-# client writes each frame to the file as it arrives.
+# 10 MiB spans three 4 MiB BACKUP_DATA frames and ten 1 MiB RESTORE_DATA
+# frames: the session ingests the stream frame by frame and streams the
+# restore back from the containers, and the client writes each frame to the
+# file as it arrives.
 BIG="$SCRATCH/service_smoke_big.bin"
 BIG_OUT="$SCRATCH/service_smoke_big_restored.bin"
 python3 -c "import random, sys
