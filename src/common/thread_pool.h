@@ -1,6 +1,6 @@
 // A small fixed-size thread pool. Its user in src/ is the helper pool of
-// the sliced chunk_and_fingerprint (dedup/chunk_prep.h), which submits
-// claim loops and joins its slices itself. Tasks are type-erased
+// the piece jobs (dedup/chunk_prep.h), which submits each job and collects
+// it through the job's own future. Tasks are type-erased
 // std::move_only_function-style closures.
 //
 // Thread safety: submit()/stats() may be called from any thread,

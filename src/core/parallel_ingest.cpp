@@ -1,9 +1,11 @@
 #include "core/parallel_ingest.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -74,33 +76,52 @@ ParallelIngestor::Stream::Stream(ParallelIngestor& ingestor, Recipe* recipe)
     : ingestor_(ingestor),
       recipe_(recipe),
       sim_(ingestor.params_.disk),
-      appender_(ingestor.store_.open_stream()) {
+      appender_(ingestor.store_.open_stream()),
+      seam_(ingestor.chunker_->max_chunk_size()) {
   appender_.park();
+}
+
+ParallelIngestor::Stream::~Stream() noexcept {
+  // Helpers may still read the queued buffers: wait for the jobs they
+  // started, drop the rest. The appender then seals the containers.
+  for (Slot* s : queued_) {
+    for (const std::shared_ptr<PieceJob>& job : s->jobs) {
+      if (job != nullptr) job->settle(/*run=*/false);
+    }
+  }
 }
 
 void ParallelIngestor::Stream::feed(ByteView data) {
   const obs::TraceSpan span("parallel_ingest.feed", "ingest");
   DEFRAG_CHECK_MSG(!finished_, "feed() on a finished ingest stream");
   if (data.empty()) return;
-  if (carried_ == 0 && data.size() > ingestor_.params_.chunker.max_size) {
-    // Nothing carried: chunk the caller's bytes in place, keep the tail.
+  if (st_.logical_bytes == 0) {
+    // Nothing before it: chunk the caller's bytes in place, keep the tail.
     charge(data.size());
+    const std::vector<StreamChunk> chunks =
+        chunk_and_fingerprint(*ingestor_.chunker_, data,
+                              /*hold_back_last=*/true);
     appender_.resume();
-    const ByteView tail = data.subspan(ingest(data, /*final=*/false));
+    place(data, chunks);
     appender_.park();
-    std::memcpy(room(tail.size()), tail.data(), tail.size());
-    carried_ = tail.size();
+    const std::uint64_t kept =
+        chunks.empty() ? 0 : chunks.back().stream_offset + chunks.back().size;
+    open(0);
+    tail_ = data.size() - kept;
+    std::memcpy(open_->buf.get() + seam_ - tail_, data.data() + kept, tail_);
+    committed_ = data.size();
     return;
   }
-  std::memcpy(room(data.size()), data.data(), data.size());
-  consume(data.size());
+  std::memcpy(prepare(data.size()), data.data(), data.size());
+  commit(data.size());
 }
 
 std::uint8_t* ParallelIngestor::Stream::prepare(std::size_t n) {
   DEFRAG_CHECK_MSG(!finished_, "prepare() on a finished ingest stream");
-  std::uint8_t* const at = room(n);
+  finish_ready();
+  open(n);
   prepared_ = n;
-  return at;
+  return open_->buf.get() + seam_ + open_->size;
 }
 
 void ParallelIngestor::Stream::commit(std::size_t n) {
@@ -108,7 +129,57 @@ void ParallelIngestor::Stream::commit(std::size_t n) {
   DEFRAG_CHECK_MSG(!finished_, "commit() on a finished ingest stream");
   DEFRAG_CHECK_MSG(n <= prepared_, "commit() past the prepared room");
   prepared_ = 0;
-  consume(n);
+  if (n == 0) return;
+  charge(n);
+  open_->size += n;
+  if (open_->size >= kPieceBytes) {
+    // Hand the piece to a helper if a core is idle, counting the ones this
+    // stream's own jobs hold; otherwise run it here, as the last in line.
+    std::uint64_t own = 0;
+    for (const Slot* s : queued_) {
+      for (const std::shared_ptr<PieceJob>& job : s->jobs) {
+        own += job->running() ? 1u : 0u;
+      }
+    }
+    const bool post = hardware_threads() > 1 && spare_width() - 1 + own > 0;
+    enqueue(/*final=*/false, post);
+    if (!post) {
+      flush();
+      return;
+    }
+  }
+  finish_ready();
+}
+
+void ParallelIngestor::Stream::flush() {
+  DEFRAG_CHECK_MSG(!finished_, "flush() on a finished ingest stream");
+  if (open_ != nullptr && open_->size > 0) {
+    enqueue(/*final=*/false, /*post=*/false);
+  }
+  while (!queued_.empty()) finish_front();
+}
+
+StreamIngestStats ParallelIngestor::Stream::finish() {
+  const obs::TraceSpan span("parallel_ingest.finish", "ingest");
+  DEFRAG_CHECK_MSG(!finished_, "finish() called twice");
+  for (;;) {
+    if (queued_.empty()) {
+      if (open_ == nullptr) break;
+      enqueue(/*final=*/true, /*post=*/false);
+    }
+    const bool last = queued_.front()->final;
+    finish_front();
+    if (last) break;
+  }
+  free_.clear();
+  slots_.clear();
+  open_ = nullptr;
+  appender_.resume();
+  appender_.close();
+  finished_ = true;
+  st_.io = sim_.stats();
+  st_.sim_seconds = sim_.elapsed_seconds();
+  return st_;
 }
 
 void ParallelIngestor::Stream::charge(std::size_t n) {
@@ -118,55 +189,107 @@ void ParallelIngestor::Stream::charge(std::size_t n) {
                ingestor_.params_.cpu_mb_per_s);
 }
 
-std::uint8_t* ParallelIngestor::Stream::room(std::size_t n) {
-  if (carried_ + n > capacity_) {
-    // The carry is at most max_size between calls, so this capacity also
-    // fits every later piece of up to `n` bytes: a steady sender's buffer
-    // is allocated once.
-    const std::size_t cap = ingestor_.params_.chunker.max_size + n;
-    auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
-    if (carried_ > 0) std::memcpy(grown.get(), buf_.get(), carried_);
-    buf_ = std::move(grown);
-    capacity_ = cap;
+void ParallelIngestor::Stream::open(std::size_t n) {
+  while (open_ == nullptr) {
+    if (!free_.empty()) {
+      open_ = free_.back();
+      free_.pop_back();
+      open_->size = 0;
+    } else if (slots_.size() < hardware_threads()) {
+      slots_.push_back(std::make_unique<Slot>());
+      open_ = slots_.back().get();
+    } else {
+      finish_front();  // every buffer is in flight; may reopen its own
+    }
   }
-  return buf_.get() + carried_;
+  Slot& s = *open_;
+  const std::size_t need = seam_ + s.size + n;
+  if (need > s.capacity) {
+    // A piece is queued once it holds kPieceBytes, so this capacity fits
+    // every later piece of up to `n` bytes: a steady sender's buffers are
+    // allocated once.
+    const std::size_t cap = std::max<std::size_t>(need, seam_ + kPieceBytes);
+    auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+    if (s.capacity > 0) std::memcpy(grown.get(), s.buf.get(), seam_ + s.size);
+    s.buf = std::move(grown);
+    high_water_ += cap - s.capacity;
+    s.capacity = cap;
+  }
 }
 
-void ParallelIngestor::Stream::consume(std::size_t n) {
-  if (n == 0) return;
-  charge(n);
-  carried_ += n;
-  // Defer: once the buffer exceeds max_size its first chunk is certain to
-  // complete, so each chunking pass consumes the whole previous carry and
-  // every byte is chunked at most twice, however small the pieces.
-  if (carried_ <= ingestor_.params_.chunker.max_size) return;
+void ParallelIngestor::Stream::enqueue(bool final, bool post) {
+  Slot& s = *open_;
+  open_ = nullptr;
+  const std::uint64_t end = seam_ + s.size;
+  const ByteView buf(s.buf.get(), end);
+  const std::uint64_t width =
+      post ? std::clamp<std::uint64_t>(s.size / kPieceBytes, 1,
+                                       hardware_threads())
+           : 1;
+  const std::vector<std::uint64_t> starts =
+      piece_starts(seam_, end, committed_, width, seam_);
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    s.jobs.push_back(std::make_shared<PieceJob>(
+        *ingestor_.chunker_, buf, starts[k],
+        k + 1 < starts.size() ? starts[k + 1] : end,
+        final && k + 1 == starts.size()));
+    if (post) PieceJob::post(s.jobs.back());
+  }
+  s.final = final;
+  committed_ += s.size;
+  queued_.push_back(&s);
+}
+
+void ParallelIngestor::Stream::finish_front() {
+  Slot& s = *queued_.front();
+  const std::uint64_t end = seam_ + s.size;
+  const ByteView buf(s.buf.get(), end);
+  // The jobs cover contiguous bytes: each one's held-back chunk already
+  // lies in front of the next.
+  std::uint64_t t = seam_ - tail_;
   appender_.resume();
-  const std::uint64_t used =
-      ingest(ByteView(buf_.get(), carried_), /*final=*/false);
+  for (std::size_t k = 0; k < s.jobs.size(); ++k) {
+    const std::shared_ptr<PieceJob> job = std::move(s.jobs[k]);
+    const std::vector<StreamChunk> chunks =
+        finish_piece(*ingestor_.chunker_, buf, t, *job,
+                     s.final && k + 1 == s.jobs.size());
+    place(buf, chunks);
+    if (!chunks.empty()) t = chunks.back().stream_offset + chunks.back().size;
+  }
   appender_.park();
-  carried_ -= used;
-  std::memmove(buf_.get(), buf_.get() + used, carried_);
+  s.jobs.clear();
+  tail_ = end - t;
+  queued_.pop_front();
+  // The held-back tail goes in front of the next piece; with none yet,
+  // this buffer becomes the open one.
+  Slot* const next = queued_.empty() ? open_ : queued_.front();
+  if (next == nullptr && !s.final) {
+    std::memmove(s.buf.get() + seam_ - tail_, s.buf.get() + t, tail_);
+    s.size = 0;
+    open_ = &s;
+    return;
+  }
+  if (next != nullptr) {
+    std::memcpy(next->buf.get() + seam_ - tail_, s.buf.get() + t, tail_);
+  }
+  free_.push_back(&s);
 }
 
-StreamIngestStats ParallelIngestor::Stream::finish() {
-  const obs::TraceSpan span("parallel_ingest.finish", "ingest");
-  DEFRAG_CHECK_MSG(!finished_, "finish() called twice");
-  appender_.resume();
-  ingest(ByteView(buf_.get(), carried_), /*final=*/true);
-  buf_.reset();
-  carried_ = 0;
-  appender_.close();
-  finished_ = true;
-  st_.io = sim_.stats();
-  st_.sim_seconds = sim_.elapsed_seconds();
-  return st_;
+void ParallelIngestor::Stream::finish_ready() {
+  const auto done = [](const std::shared_ptr<PieceJob>& job) {
+    return job->done();
+  };
+  while (!queued_.empty() &&
+         std::all_of(queued_.front()->jobs.begin(),
+                     queued_.front()->jobs.end(), done)) {
+    finish_front();
+  }
 }
 
-std::uint64_t ParallelIngestor::Stream::ingest(ByteView buf, bool final) {
-  if (buf.empty()) return 0;
+void ParallelIngestor::Stream::place(ByteView buf,
+                                     const std::vector<StreamChunk>& chunks) {
+  if (chunks.empty()) return;
   ShardedPagedIndex& index = ingestor_.index_;
-  const std::vector<StreamChunk> chunks = chunk_and_fingerprint(
-      *ingestor_.chunker_, buf, /*hold_back_last=*/!final);
   st_.chunk_count += chunks.size();
 
   // Stream-ordered locations; pending duplicates get theirs at resolution.
@@ -276,8 +399,6 @@ std::uint64_t ParallelIngestor::Stream::ingest(ByteView buf, bool final) {
       recipe_->add(e.fp, e.location);
     }
   }
-  return chunks.empty() ? 0
-                        : chunks.back().stream_offset + chunks.back().size;
 }
 
 StreamIngestStats ParallelIngestor::ingest_stream(ByteView stream,

@@ -29,34 +29,52 @@
 //    feed() each piece of the byte stream as it arrives, finish() at the
 //    end. A caller that reads the bytes itself (a defrag-serve session
 //    receiving a BACKUP_DATA frame) uses prepare()/commit() instead of
-//    feed(): it reads straight into the stream's buffer, behind the
-//    carried tail, so the piece is never copied before it is chunked.
-//    Each piece is chunked and fingerprinted with the carried tail
-//    (chunk_and_fingerprint, as the serial engines do, sliced across idle
-//    cores for large buffers), and its last chunk, which may still grow,
-//    is held back; every chunker restarts its state at each chunk start,
-//    so the boundaries are bit-identical to chunking the whole stream at
-//    once and the carry never exceeds max_size. Pieces that leave the
-//    buffer within max_size are only carried, so tiny pieces cost no
-//    rescans. Each feed() or commit() resolves its own pending duplicates
-//    before returning, while the stream still holds their bytes, so no
-//    claim outlives a call. Between calls the stream's open container is
-//    parked (ContainerStore::StreamAppender::park), so a reader never
-//    waits on the feeder's pace.
-//  - ingest_stream(stream, recipe): one Stream, one feed(), finish(). Safe
-//    to call from many threads concurrently, like Stream itself. With a
-//    non-null `recipe` it records one entry per chunk in stream order with
-//    a published location for every duplicate, making the stream
+//    feed(): it reads straight into one of the stream's piece buffers, so
+//    the bytes are never copied before they are chunked.
+//    The stream is a bounded pipeline of pieces (dedup/chunk_prep.h). Once
+//    a piece buffer holds at least kPieceBytes, commit() hands the piece
+//    to the helper pool as PieceJobs of at least kPieceBytes each (one per
+//    kPieceBytes, at most hardware_threads()), which chunk and fingerprint
+//    their bytes from their own start, places the pieces already done and
+//    returns, so the session goes back to receiving. When no core is idle
+//    (spare_width(), crediting the cores this stream's own jobs hold) the
+//    piece runs inline instead, as one job. Pieces are
+//    finished strictly in stream order on the caller's thread: the
+//    previous piece's held-back last chunk (at most max_size) is copied
+//    into the max_size prefix every piece buffer reserves, the stitch
+//    (finish_piece) joins the piece's own chain from the first boundary it
+//    shares with the true chain, and place() claims, appends, publishes
+//    and records the piece's chunks. Every chunker restarts its state at
+//    each chunk start, so the boundaries are bit-identical to chunking the
+//    whole stream at once, for any framing. A finished piece's buffer is
+//    reused; at most hardware_threads() buffers exist, and only when they
+//    are all in flight does prepare() wait for the oldest piece, running
+//    its job itself if no helper has started it. Each place() resolves its
+//    own pending duplicates before returning, while the stream still
+//    holds their bytes, so no claim outlives a call. Between calls the
+//    stream's open container is parked (ContainerStore::StreamAppender::
+//    park), so a reader never waits on the feeder's pace.
+//  - ingest_stream(stream, recipe): one Stream, one feed(), finish(). The
+//    first feed() of a stream chunks the caller's buffer in place through
+//    chunk_and_fingerprint (the same pieces and stitch, over subspans of
+//    that buffer) and copies only the held-back tail. Safe to call from
+//    many threads concurrently, like Stream itself. With a non-null
+//    `recipe` it records one entry per chunk in stream order with a
+//    published location for every duplicate, making the stream
 //    restore-grade via dedup/restore_strategies.h.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <vector>
 
 #include "chunking/chunker.h"
+#include "chunking/segmenter.h"
 #include "common/bytes.h"
 #include "common/fingerprint.h"
+#include "dedup/chunk_prep.h"
 #include "index/paged_index.h"
 #include "index/sharded_index.h"
 #include "storage/container_store.h"
@@ -101,24 +119,26 @@ class ParallelIngestor {
 
   /// One backup stream ingested piece by piece (see file comment). Used
   /// from one thread at a time; any number of Streams may run concurrently
-  /// on the same ingestor. Destroying an unfinished Stream seals its
-  /// containers and leaves no claim behind, so a failed backup commits
-  /// nothing and blocks no one.
+  /// on the same ingestor. Destroying an unfinished Stream waits for its
+  /// in-flight piece jobs, seals its containers and leaves no claim
+  /// behind, so a failed backup commits nothing and blocks no one.
   class Stream {
    public:
     /// Open a stream into `ingestor`. When `recipe` is non-null every
-    /// feed() appends its chunks' entries (stream order, published
+    /// placed piece appends its chunks' entries (stream order, published
     /// locations); `recipe` must outlive the stream.
     explicit Stream(ParallelIngestor& ingestor, Recipe* recipe = nullptr);
+    ~Stream() noexcept;
     Stream(const Stream&) = delete;
     Stream& operator=(const Stream&) = delete;
 
     /// Ingest the next `data` bytes of the stream.
     void feed(ByteView data);
 
-    /// Room for the next `n` bytes of the stream, behind the carried tail
-    /// in the stream's own buffer (not zeroed). Valid until the next call
-    /// on the stream; bytes written there are ingested only by commit().
+    /// Room for the next `n` bytes of the stream in a piece buffer (not
+    /// zeroed). Valid until the next call on the stream; bytes written
+    /// there are ingested only by commit(). Waits for the oldest piece
+    /// when every buffer is in flight.
     std::uint8_t* prepare(std::size_t n);
 
     /// Ingest the first `n` bytes written to the last prepare()'s room,
@@ -126,25 +146,52 @@ class ParallelIngestor {
     /// prepare() asked for.
     void commit(std::size_t n);
 
-    /// Ingest the held-back tail, seal the stream's containers and return
-    /// its stats. Call once; no feed() or prepare() afterwards.
+    /// Ingest every committed byte but the held-back tail now, waiting for
+    /// the pieces in flight. After a call on the stream threw, the stream
+    /// may only be destroyed.
+    void flush();
+
+    /// Ingest what is still in flight or held back, seal the stream's
+    /// containers and return its stats. Call once; no feed() or prepare()
+    /// afterwards.
     StreamIngestStats finish();
 
-    /// Capacity of the stream's buffer, which only grows until finish():
-    /// at most the largest piece plus the chunker's max_size.
-    std::uint64_t buffer_high_water() const { return capacity_; }
+    /// Bytes of piece buffers the stream allocated, which only grows until
+    /// finish(): at most hardware_threads() x (max_size + the largest
+    /// piece), where a piece holds under kPieceBytes plus the last
+    /// commit's bytes.
+    std::uint64_t buffer_high_water() const { return high_water_; }
 
    private:
+    /// A piece buffer: a max_size prefix for the held-back tail in front
+    /// of `size` bytes of the stream. Not zeroed: every byte read was
+    /// written first.
+    struct Slot {
+      std::unique_ptr<std::uint8_t[]> buf;
+      std::size_t capacity = 0;
+      std::size_t size = 0;
+      /// The piece's jobs in stream order, each cleared once taken.
+      std::vector<std::shared_ptr<PieceJob>> jobs;
+      bool final = false;
+    };
+
     /// Count `n` logical bytes and charge their chunking CPU.
     void charge(std::size_t n);
-    /// Grow the buffer so `n` bytes fit behind the carry; returns where.
-    std::uint8_t* room(std::size_t n);
-    /// The `n` bytes behind the carry join it; once the carry exceeds
-    /// max_size, ingest it and move the held-back tail to the front.
-    void consume(std::size_t n);
-    /// Chunk, fingerprint, claim and append `buf`; unless `final`, hold
-    /// back its last chunk. Returns the bytes consumed.
-    std::uint64_t ingest(ByteView buf, bool final);
+    /// Make open_ a buffer with room for `n` more bytes, waiting for the
+    /// oldest piece when every buffer is in flight.
+    void open(std::size_t n);
+    /// Commit open_ as the next piece. With `post` its bytes are cut into
+    /// up to hardware_threads() jobs of at least kPieceBytes each, handed
+    /// to the helper pool; otherwise one job waits for the caller.
+    void enqueue(bool final, bool post);
+    /// Finish the oldest piece: stitch, place, and move its held-back tail
+    /// in front of the next piece.
+    void finish_front();
+    /// Finish the oldest pieces whose jobs are done.
+    void finish_ready();
+    /// Claim, append and publish `chunks` (offsets into `buf`) in order,
+    /// and resolve the pending duplicates among them.
+    void place(ByteView buf, const std::vector<StreamChunk>& chunks);
 
     ParallelIngestor& ingestor_;
     Recipe* recipe_;
@@ -153,14 +200,22 @@ class ParallelIngestor {
     /// Published-location lookups charged for pending duplicates.
     std::uint64_t charged_ = 0;
     ContainerStore::StreamAppender appender_;
-    /// buf_[0, carried_) holds the bytes after the last consumed chunk
-    /// boundary, at most max_size between calls; prepare() hands out the
-    /// room behind them. Not zeroed: every byte read was written first.
-    std::unique_ptr<std::uint8_t[]> buf_;
-    std::size_t capacity_ = 0;
-    std::size_t carried_ = 0;
+    /// Prefix of every piece buffer: the longest chunk.
+    const std::size_t seam_;
+    std::vector<std::unique_ptr<Slot>> slots_;
+    std::vector<Slot*> free_;
+    /// Committed pieces not yet placed, in stream order.
+    std::deque<Slot*> queued_;
+    /// The piece prepare() writes into.
+    Slot* open_ = nullptr;
+    /// Bytes held back in front of the next piece (queued_.front(), else
+    /// open_), in its prefix.
+    std::size_t tail_ = 0;
+    /// Stream offset of open_'s first byte.
+    std::uint64_t committed_ = 0;
     /// Room handed out by the last prepare(), not yet committed.
     std::size_t prepared_ = 0;
+    std::uint64_t high_water_ = 0;
     bool finished_ = false;
   };
 

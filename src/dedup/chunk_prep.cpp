@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <future>
 #include <memory>
-#include <optional>
 #include <thread>
 
 #include "chunking/chunker.h"
@@ -23,62 +22,9 @@ namespace defrag {
 
 namespace {
 
-/// Shortest slice worth a thread: a 4 MiB BACKUP_DATA frame gives at most
-/// four slices, and buffers under two slices run sequentially.
-constexpr std::uint64_t kSliceBytes = std::uint64_t{1} << 20;
-
-/// One slice's share of the chain, fingerprinted, with its batch's flushes.
-struct SliceResult {
-  std::vector<StreamChunk> chunks;
-  std::vector<std::uint32_t> flush_sizes;
-};
-
-/// Chunk [lo, hi) of `data` from lo, keep the chunks that start before
-/// `cut` and fingerprint them, all but the last one when `!hash_last`.
-/// With lo = 0 and cut = hi = data.size() this is the sequential loop.
-SliceResult prepare_slice(const Chunker& chunker, ByteView data,
-                          std::uint64_t lo, std::uint64_t cut,
-                          std::uint64_t hi, bool hash_last) {
-  SliceResult out;
-  chunker.split_to(data.subspan(lo, hi - lo), [&](const ChunkRef& r) {
-    if (lo + r.offset < cut) {
-      out.chunks.push_back(StreamChunk{Fingerprint{}, lo + r.offset, r.size});
-    }
-  });
-  std::size_t hashed = out.chunks.size();
-  if (!hash_last && hashed > 0) --hashed;
-  simd::FingerprintBatch batch;
-  for (std::size_t i = 0; i < hashed; ++i) {
-    StreamChunk& c = out.chunks[i];
-    batch.add(data.subspan(c.stream_offset, c.size), &c.fp);
-  }
-  batch.flush();
-  out.flush_sizes = batch.flush_sizes();
-  return out;
-}
-
-/// The chunk the true chain places at `t`: it depends only on t and the
-/// bytes [t, t + L), so chunking that window and keeping its first chunk
-/// is exact.
-ChunkRef chunk_at(const Chunker& chunker, ByteView data, std::uint64_t t) {
-  const std::uint64_t end =
-      std::min<std::uint64_t>(data.size(), t + chunker.max_chunk_size());
-  std::optional<ChunkRef> first;
-  chunker.split_to(data.subspan(t, end - t), [&](const ChunkRef& r) {
-    if (!first) first = r;
-  });
-  DEFRAG_CHECK(first.has_value());
-  return ChunkRef{t, first->size};
-}
-
-unsigned hardware_threads() {
-  static const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  return hw;
-}
-
-/// hardware_threads() - 1 helpers, created on the first sliced call. Never
-/// destroyed: a caller on another thread may still be slicing when static
-/// teardown begins. nullptr on a one-thread machine.
+/// hardware_threads() - 1 helpers, created on the first posted piece.
+/// Never destroyed: a caller on another thread may still be posting when
+/// static teardown begins. nullptr on a one-thread machine.
 ThreadPool* helper_pool() {
   static ThreadPool* const pool =
       hardware_threads() > 1
@@ -87,11 +33,35 @@ ThreadPool* helper_pool() {
   return pool;
 }
 
-/// Slices worth running now: the caller plus one per hardware thread that
-/// nothing else is running on. The runnable count (the 4th field's
-/// numerator in /proc/loadavg) covers the whole machine, client threads
-/// and the caller included; 1 when it cannot be read.
+std::atomic<std::uint64_t> pinned_spare_width{0};
+
+/// Settles every job still out when a whole-buffer call unwinds, so a
+/// failure is rethrown only after every piece joined.
+class SettleOnUnwind {
+ public:
+  explicit SettleOnUnwind(std::span<const std::shared_ptr<PieceJob>> jobs)
+      : jobs_(jobs) {}
+  ~SettleOnUnwind() noexcept {
+    for (std::size_t k = taken_; k < jobs_.size(); ++k) jobs_[k]->settle(true);
+  }
+  SettleOnUnwind(const SettleOnUnwind&) = delete;
+  SettleOnUnwind& operator=(const SettleOnUnwind&) = delete;
+  void taken(std::size_t k) { taken_ = k + 1; }
+
+ private:
+  std::span<const std::shared_ptr<PieceJob>> jobs_;
+  std::size_t taken_ = 0;
+};
+
+}  // namespace
+
+unsigned hardware_threads() {
+  static const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  return hw;
+}
+
 std::uint64_t spare_width() {
+  if (const std::uint64_t w = pinned_spare_width.load()) return w;
   std::ifstream loadavg("/proc/loadavg");
   double avg1 = 0, avg5 = 0, avg15 = 0;
   std::uint64_t runnable = 0;
@@ -104,66 +74,157 @@ std::uint64_t spare_width() {
   return 1 + (hw > runnable ? hw - runnable : 0);
 }
 
-/// Slice indices claimable by the caller and the helpers. Shared-owned: a
-/// helper task may start only after the caller returned (it queued behind
-/// another caller's work), and then it only reads `next`.
-struct SliceRun {
-  explicit SliceRun(std::size_t count) : tasks(count) {}
-
-  void claim_until_empty() {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= tasks.size()) return;
-      tasks[i]();  // a throw lands in the slice's future
+std::vector<std::uint64_t> piece_starts(std::uint64_t from, std::uint64_t end,
+                                        std::uint64_t origin,
+                                        std::uint64_t width,
+                                        std::uint64_t grid) {
+  // Stream offset `o` lies at from + o - origin.
+  const std::uint64_t first = (origin + grid - 1) / grid * grid;
+  std::vector<std::uint64_t> starts{std::min(end, from + first - origin)};
+  for (std::uint64_t k = 1; k < width; ++k) {
+    const std::uint64_t cut =
+        (origin + k * (end - from) / width) / grid * grid;
+    if (cut > origin && from + cut - origin > starts.back()) {
+      starts.push_back(from + cut - origin);
     }
   }
-
-  std::atomic<std::size_t> next{0};
-  std::vector<std::packaged_task<void()>> tasks;
-};
-
-/// Run fn(k) for k in [0, count) on the caller and up to count - 1 helpers.
-/// Every slice is joined before the lowest failed slice's exception is
-/// rethrown unchanged. The caller waits only on slices some thread is
-/// already running, so a busy pool cannot stall it.
-void run_slices(std::size_t count, const std::function<void(std::size_t)>& fn) {
-  const auto run = std::make_shared<SliceRun>(count);
-  std::vector<std::future<void>> joins;
-  joins.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    run->tasks[k] = std::packaged_task<void()>([&fn, k] { fn(k); });
-    joins.push_back(run->tasks[k].get_future());
-  }
-  if (ThreadPool* pool = helper_pool()) {
-    const std::size_t helpers = std::min(count - 1, pool->thread_count());
-    for (std::size_t h = 0; h < helpers; ++h) {
-      // The returned future is dropped: slices are joined through `joins`.
-      (void)pool->submit([run] { run->claim_until_empty(); });
-    }
-  }
-  run->claim_until_empty();
-  for (auto& j : joins) j.wait();
-  for (auto& j : joins) j.get();
+  return starts;
 }
 
-/// Fold one call's samples into the global registry. Histogram::observe()
-/// is single-threaded by contract: record into a local shard and merge,
-/// which serializes under the registry's lock.
-void record(const std::vector<SliceResult>& slices,
-            const std::vector<std::uint32_t>& stitch_flushes,
-            std::uint64_t slice_count, std::uint64_t resync_bytes) {
-  obs::MetricsRegistry shard;
-  auto& hist = shard.histogram("fingerprint.batch_size");
-  for (const SliceResult& slice : slices) {
-    for (const std::uint32_t n : slice.flush_sizes) hist.observe(n);
+PieceJob::PieceJob(const Chunker& chunker, ByteView base, std::uint64_t from,
+                   std::uint64_t end, bool hash_last)
+    : from_(from),
+      end_(end),
+      task_([&chunker, base, from, end, hash_last] {
+        Chunks out;
+        if (from >= end) return out;
+        chunker.split_to(base.subspan(from, end - from),
+                         [&](const ChunkRef& r) {
+                           out.chunks.push_back(StreamChunk{
+                               Fingerprint{}, from + r.offset, r.size});
+                         });
+        std::size_t hashed = out.chunks.size();
+        if (!hash_last && hashed > 0) --hashed;
+        simd::FingerprintBatch batch;
+        for (std::size_t i = 0; i < hashed; ++i) {
+          StreamChunk& c = out.chunks[i];
+          batch.add(base.subspan(c.stream_offset, c.size), &c.fp);
+        }
+        batch.flush();
+        out.flush_sizes = batch.flush_sizes();
+        return out;
+      }),
+      result_(task_.get_future()) {
+  DEFRAG_CHECK(from <= end && end <= base.size());
+}
+
+void PieceJob::post(const std::shared_ptr<PieceJob>& job) {
+  job->posted_ = true;
+  if (ThreadPool* pool = helper_pool()) {
+    // The pool's future is dropped: the job reports through its own.
+    (void)pool->submit([job] {
+      if (job->claim()) job->task_();
+    });
   }
-  for (const std::uint32_t n : stitch_flushes) hist.observe(n);
-  shard.counter("chunking.slices").add(slice_count);
+}
+
+bool PieceJob::running() const {
+  return claimed_.load(std::memory_order_acquire) && !done();
+}
+
+bool PieceJob::done() const {
+  return result_.wait_for(std::chrono::seconds(0)) ==
+         std::future_status::ready;
+}
+
+PieceJob::Chunks PieceJob::take() {
+  if (claim()) task_();  // a throw lands in result_
+  return result_.get();
+}
+
+void PieceJob::settle(bool run) noexcept {
+  if (claim()) {
+    if (!run) return;
+    task_();
+  }
+  result_.wait();
+}
+
+std::vector<StreamChunk> finish_piece(const Chunker& chunker, ByteView base,
+                                      std::uint64_t t, PieceJob& job,
+                                      bool final) {
+  const std::uint64_t from = job.from();
+  const std::uint64_t end = job.end();
+  DEFRAG_CHECK(t <= from);
+  const auto wait_start = std::chrono::steady_clock::now();
+  const PieceJob::Chunks own = job.take();
+  obs::MetricsRegistry shard;
+  if (job.posted()) {
+    shard.histogram("ingest.piece_wait_us")
+        .observe(std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - wait_start)
+                     .count());
+  }
+  shard.counter("chunking.slices").add(job.posted() ? 1 : 0);
+
+  // Walk the true chain from t. From the first boundary the piece's own
+  // chain shares with it, adopt the rest of that chain; before it, chunk
+  // here, one window of the longest chunk at a time: every chunker
+  // restarts at each chunk start, so each chunk of a window that starts
+  // on the true chain is exact, but the last, whose end may be only the
+  // window's. Chunks that start before the piece's own start are the seam
+  // every piece pays; the rest count as resync.
+  const std::uint64_t max_len = chunker.max_chunk_size();
+  std::vector<StreamChunk> out;
+  out.reserve(own.chunks.size() + 8);
+  std::vector<std::size_t> resynced;  // indices into `out` chunked here
+  std::vector<ChunkRef> window;
+  std::size_t next = 0;  // window[next] starts at t
+  std::uint64_t resync_bytes = 0;
+  auto it = own.chunks.begin();
+  while (t < end) {
+    while (it != own.chunks.end() && it->stream_offset < t) ++it;
+    if (it != own.chunks.end() && it->stream_offset == t) {
+      out.insert(out.end(), it, own.chunks.end());
+      break;
+    }
+    if (next == window.size()) {
+      const std::uint64_t stop = std::min(end, t + max_len);
+      window.clear();
+      next = 0;
+      chunker.split_to(base.subspan(t, stop - t), [&](const ChunkRef& r) {
+        window.push_back(ChunkRef{t + r.offset, r.size});
+      });
+      DEFRAG_CHECK(!window.empty());
+      // A lone chunk is a whole longest chunk, or ends at the piece end.
+      if (stop < end && window.size() > 1) window.pop_back();
+    }
+    const ChunkRef r = window[next++];
+    resynced.push_back(out.size());
+    out.push_back(StreamChunk{Fingerprint{}, r.offset, r.size});
+    if (r.offset >= from) resync_bytes += r.size;
+    t += r.size;
+  }
+  if (!final && !out.empty()) out.pop_back();
+
+  // `out` no longer grows: hash what the stitch chunked itself.
+  simd::FingerprintBatch batch;
+  for (const std::size_t i : resynced) {
+    if (i < out.size()) {
+      batch.add(base.subspan(out[i].stream_offset, out[i].size), &out[i].fp);
+    }
+  }
+  batch.flush();
+
+  // Histogram::observe() is single-threaded by contract: the shard is
+  // merged under the registry's lock.
+  auto& hist = shard.histogram("fingerprint.batch_size");
+  for (const std::uint32_t n : own.flush_sizes) hist.observe(n);
+  for (const std::uint32_t n : batch.flush_sizes()) hist.observe(n);
   shard.counter("chunking.resync_bytes").add(resync_bytes);
   obs::MetricsRegistry::global().merge_from(shard);
+  return out;
 }
-
-}  // namespace
 
 namespace chunk_prep_detail {
 
@@ -176,69 +237,41 @@ std::vector<StreamChunk> chunk_and_fingerprint_sliced(
   for (std::size_t k = 1; k < count; ++k) {
     DEFRAG_CHECK(slice_starts[k - 1] < slice_starts[k] && slice_starts[k] < n);
   }
-  const std::uint64_t max_len = chunker.max_chunk_size();
-  const auto cut_of = [&](std::size_t k) {
-    return k + 1 < count ? slice_starts[k + 1] : n;
-  };
+  if (n == 0) return {};
 
-  if (count == 1) {
-    std::vector<SliceResult> whole(1);
-    whole[0] = prepare_slice(chunker, data, 0, n, n, !hold_back_last);
-    if (hold_back_last && !whole[0].chunks.empty()) whole[0].chunks.pop_back();
-    record(whole, {}, 0, 0);
-    return std::move(whole[0].chunks);
-  }
-
-  // Slice k runs its own chain from its start, over enough bytes past its
-  // cut that every chunk starting before the cut sees its full window.
-  std::vector<SliceResult> slices(count);
-  run_slices(count, [&](std::size_t k) {
-    const std::uint64_t cut = cut_of(k);
-    slices[k] = prepare_slice(chunker, data, slice_starts[k], cut,
-                              std::min(n, cut + max_len),
-                              !(hold_back_last && k + 1 == count));
-  });
-
-  // Stitch: walk the true chain. From the first boundary a slice's chain
-  // shares with it, adopt the rest of that slice; before it, chunk here.
-  std::size_t total = 0;
-  for (const SliceResult& s : slices) total += s.chunks.size();
-  std::vector<StreamChunk> out;
-  out.reserve(total + count);
-  std::vector<std::size_t> resynced;  // indices into `out` chunked here
-  std::uint64_t resync_bytes = 0;
-  std::uint64_t t = 0;
+  std::vector<std::shared_ptr<PieceJob>> jobs;
+  jobs.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
-    const std::vector<StreamChunk>& own = slices[k].chunks;
-    auto it = own.begin();
-    while (t < cut_of(k)) {
-      while (it != own.end() && it->stream_offset < t) ++it;
-      if (it != own.end() && it->stream_offset == t) {
-        out.insert(out.end(), it, own.end());
-        t = own.back().stream_offset + own.back().size;
-        break;
-      }
-      const ChunkRef r = chunk_at(chunker, data, t);
-      resynced.push_back(out.size());
-      out.push_back(StreamChunk{Fingerprint{}, r.offset, r.size});
-      resync_bytes += r.size;
-      t += r.size;
-    }
+    jobs.push_back(std::make_shared<PieceJob>(
+        chunker, data, slice_starts[k],
+        k + 1 < count ? slice_starts[k + 1] : n,
+        !hold_back_last && k + 1 == count));
   }
-  DEFRAG_CHECK(t == n);
-  if (hold_back_last) out.pop_back();
+  // The first piece goes last: the caller takes it at once, while the
+  // helpers start on the others.
+  if (count >= 2) {
+    for (std::size_t k = 1; k <= count; ++k) PieceJob::post(jobs[k % count]);
+  }
 
-  // `out` no longer grows: hash what the stitch chunked itself.
-  simd::FingerprintBatch batch;
-  for (const std::size_t i : resynced) {
-    if (i < out.size()) {
-      batch.add(data.subspan(out[i].stream_offset, out[i].size), &out[i].fp);
-    }
+  SettleOnUnwind settle(jobs);
+  std::vector<StreamChunk> out;
+  std::uint64_t t = 0;  // where the held-back chunk starts
+  for (std::size_t k = 0; k < count; ++k) {
+    const bool final = !hold_back_last && k + 1 == count;
+    settle.taken(k);
+    std::vector<StreamChunk> piece =
+        finish_piece(chunker, data, t, *jobs[k], final);
+    t = piece.empty() ? t : piece.back().stream_offset + piece.back().size;
+    out.insert(out.end(), piece.begin(), piece.end());
   }
-  batch.flush();
-  record(slices, batch.flush_sizes(), count, resync_bytes);
   return out;
 }
+
+PinSpareWidth::PinSpareWidth(std::uint64_t width) {
+  pinned_spare_width.store(width);
+}
+
+PinSpareWidth::~PinSpareWidth() noexcept { pinned_spare_width.store(0); }
 
 }  // namespace chunk_prep_detail
 
@@ -246,20 +279,13 @@ std::vector<StreamChunk> chunk_and_fingerprint(const Chunker& chunker,
                                                ByteView data,
                                                bool hold_back_last) {
   const std::uint64_t n = data.size();
-  const std::uint64_t max_slices =
-      hardware_threads() > 1 ? n / kSliceBytes : 0;
+  const std::uint64_t max_pieces =
+      hardware_threads() > 1 ? n / kPieceBytes : 0;
   const std::uint64_t width =
-      max_slices >= 2 ? std::min(max_slices, spare_width()) : 1;
-  // Starts round down to a multiple of the longest chunk, so fixed-size
-  // chains merge at once.
-  std::vector<std::uint64_t> starts{0};
-  const std::uint64_t max_len = chunker.max_chunk_size();
-  for (std::uint64_t k = 1; k < width; ++k) {
-    const std::uint64_t a = k * n / width / max_len * max_len;
-    if (a > starts.back()) starts.push_back(a);
-  }
+      max_pieces >= 2 ? std::min(max_pieces, spare_width()) : 1;
   return chunk_prep_detail::chunk_and_fingerprint_sliced(
-      chunker, data, hold_back_last, starts);
+      chunker, data, hold_back_last,
+      piece_starts(0, n, 0, width, chunker.max_chunk_size()));
 }
 
 }  // namespace defrag

@@ -98,6 +98,9 @@ RestoreResult restore_chunk_lru(const ContainerStore& store,
   // single chunk" regime when duplicates scatter.
   ChunkLru cache(options.chunk_cache_bytes);
   std::uint64_t hits = 0, misses = 0;
+  // Consecutive entries of one container share one store lookup (and lock).
+  ContainerId last_id = kInvalidContainer;
+  const Container* last = nullptr;
 
   for (const RecipeEntry& e : recipe.entries()) {
     if (cache.touch(e.fp)) {
@@ -109,7 +112,13 @@ RestoreResult restore_chunk_lru(const ContainerStore& store,
       ++res.container_loads;  // here: individual chunk reads
       cache.insert(e.fp, e.location.size);
     }
-    if (sink) sink(store.peek(e.location.container).read(e.location));
+    if (sink) {
+      if (e.location.container != last_id) {
+        last_id = e.location.container;
+        last = &store.peek(last_id);
+      }
+      sink(last->read(e.location));
+    }
     res.logical_bytes += e.location.size;
   }
   res.cache_hit_rate =
@@ -145,14 +154,17 @@ RestoreResult restore_forward_assembly(const ContainerStore& store,
     for (std::size_t i = window_start; i < window_end; ++i) {
       needed.insert(entries[i].location.container);
     }
+    // The window reads its chunks through the containers load() returned,
+    // not the store (and its lock).
+    std::unordered_map<ContainerId, const Container*> loaded;
     for (ContainerId c : needed) {
-      store.load(c, sim);
+      loaded.emplace(c, &store.load(c, sim));
       ++res.container_loads;
     }
     if (sink) {
       for (std::size_t i = window_start; i < window_end; ++i) {
         const auto& e = entries[i];
-        sink(store.peek(e.location.container).read(e.location));
+        sink(loaded.at(e.location.container)->read(e.location));
       }
     }
     for (std::size_t i = window_start; i < window_end; ++i) {

@@ -48,6 +48,8 @@ Server::Server(const ServerConfig& config)
   reg.histogram("service.request.stats_us");
   reg.histogram("service.request.health_us");
   reg.histogram("service.request.shutdown_us");
+  // Observed by the backup streams' piece pipeline (dedup/chunk_prep.h).
+  reg.histogram("ingest.piece_wait_us");
 }
 
 Server::~Server() noexcept {

@@ -64,6 +64,9 @@ void Session::run() {
       Bytes payload(*len);
       payload[0] = type;
       conn_.recv_payload(MutableByteView(payload).subspan(1));
+      // Any other request inside a backup finds the frames before it
+      // ingested, as a stalled client leaves them.
+      if (backup_.has_value()) backup_->stream.flush();
       const bool keep =
           admitted_ ? handle(payload) : handle_unadmitted(payload);
       if (!keep) break;

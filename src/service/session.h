@@ -21,13 +21,15 @@
 //
 // Data plane, streamed both ways:
 //  - BACKUP_BEGIN opens a ParallelIngestor::Stream into a fresh Recipe;
-//    every BACKUP_DATA frame's body is received straight into the stream's
-//    buffer (Stream::prepare/commit) and ingested as it arrives (chunked,
-//    fingerprinted, deduplicated and appended before the next frame is
-//    read); BACKUP_END finishes the stream and commits the recipe into the
-//    tenant's namespace. Between frames the stream's open container is
-//    parked, so a restore that needs it seals it instead of waiting for
-//    this client. A backup that fails or is abandoned commits nothing.
+//    every BACKUP_DATA frame's body is received straight into one of the
+//    stream's piece buffers (Stream::prepare/commit), chunked and
+//    fingerprinted by helper jobs while the next frames arrive, and
+//    deduplicated and appended in stream order on the session thread;
+//    any other request inside a backup first places every frame before it
+//    (Stream::flush); BACKUP_END finishes the stream and commits the
+//    recipe into the tenant's namespace. Between frames the stream's open
+//    container is parked, so a restore that needs it seals it instead of
+//    waiting for this client. A backup that fails or is abandoned commits nothing.
 //    From BACKUP_BEGIN to the end of the backup the session is marked
 //    inside a backup in the SessionScheduler, so a drain lets it read the
 //    rest of its frames; it stops reading after BACKUP_DONE.
@@ -39,8 +41,9 @@
 //    frame is sent straight from them with one gathered write
 //    (Conn::send_frame_gather); the session copies no restored byte.
 //  - Session memory is bounded by design, not by the backup's size: a
-//    backup's frames land in the stream's buffer (one frame plus the
-//    chunker's max_size carry), which
+//    backup's frames land in the stream's piece buffers (at most
+//    hardware_threads() of them, each one frame plus the chunker's
+//    max_size for the held-back tail), which
 //    service.session.buffer_high_water_bytes reports; a restore holds only
 //    one frame's list of views.
 //
@@ -163,8 +166,8 @@ class Session {
     ParallelIngestor::Stream stream;
   };
   std::optional<Backup> backup_;
-  /// Largest ingest buffer (carry plus one BACKUP_DATA frame) this
-  /// session has held.
+  /// Most bytes of piece buffers this session's backup streams have
+  /// held.
   std::uint64_t buffer_high_water_ = 0;
 };
 

@@ -4,7 +4,10 @@
 // duplicate bytes — for every chunker, at feed sizes around every carry
 // edge (1 byte, under min_size, exactly max_size, one past it, a whole
 // 4 MiB frame) and at seeded random splits. The same holds for pieces
-// written straight into the stream's buffer with prepare()/commit().
+// written straight into the stream's buffers with prepare()/commit(),
+// including a pipeline kept full of pieces handed to the helper pool, and
+// for a 20-generation series, down to the container layout. The stream's
+// buffers stay within hardware_threads() x (max_size + the largest piece).
 // Boundaries depend on the dispatched gear kernel, so CI also runs this
 // suite with the scalar kernel forced.
 #include <gtest/gtest.h>
@@ -19,8 +22,13 @@
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "core/parallel_ingest.h"
+#include "dedup/chunk_prep.h"
+#include "dedup/restore_strategies.h"
+#include "obs/metrics.h"
+#include "storage/container.h"
 #include "storage/recipe.h"
 #include "testing/data.h"
+#include "workload/backup_series.h"
 
 namespace defrag {
 namespace {
@@ -98,6 +106,14 @@ class StreamFeedTest : public ::testing::TestWithParam<ChunkerKind> {
     return o;
   }
 
+  /// The stream's buffer bound: hardware_threads() buffers, each a
+  /// max_size prefix plus a piece, which holds under kPieceBytes plus the
+  /// last commit's `largest` bytes.
+  std::uint64_t bound(std::size_t largest) const {
+    return hardware_threads() *
+           (params().chunker.max_size + kPieceBytes + largest);
+  }
+
   static void expect_same(const Outcome& want, const Outcome& got,
                           const std::string& what) {
     EXPECT_EQ(got.st.logical_bytes, want.st.logical_bytes) << what;
@@ -128,7 +144,7 @@ TEST_P(StreamFeedTest, EdgeFeedSizesMatchWholeBuffer) {
                                  std::size_t{cp.min_size - 1}}) {
     const Outcome got = fed(ByteView(small), {feed});
     expect_same(small_ref, got, "feed " + std::to_string(feed));
-    EXPECT_LE(got.high_water, feed + max) << "feed " << feed;
+    EXPECT_LE(got.high_water, bound(feed)) << "feed " << feed;
   }
 
   const Bytes large = stream_with_repeats(4u << 20, 1u << 20, 72);
@@ -138,7 +154,7 @@ TEST_P(StreamFeedTest, EdgeFeedSizesMatchWholeBuffer) {
        {std::size_t{max}, std::size_t{max} + 1, std::size_t{4u << 20}}) {
     const Outcome got = fed(ByteView(large), {feed});
     expect_same(large_ref, got, "feed " + std::to_string(feed));
-    EXPECT_LE(got.high_water, feed + max) << "feed " << feed;
+    EXPECT_LE(got.high_water, bound(feed)) << "feed " << feed;
   }
 }
 
@@ -152,8 +168,8 @@ TEST_P(StreamFeedTest, SeededRandomSplitsMatchWholeBuffer) {
     for (std::size_t& n : sizes) n = 1 + rng.below(3 * max);
     const Outcome got = fed(ByteView(stream), sizes);
     expect_same(ref, got, "split seed " + std::to_string(seed));
-    EXPECT_LE(got.high_water, *std::max_element(sizes.begin(), sizes.end()) +
-                                  max)
+    EXPECT_LE(got.high_water,
+              bound(*std::max_element(sizes.begin(), sizes.end())))
         << "split seed " << seed;
   }
 }
@@ -164,7 +180,7 @@ TEST_P(StreamFeedTest, PrepareCommitMatchesWholeBuffer) {
   const Outcome small_ref = whole(ByteView(small));
   const Outcome ones = committed(ByteView(small), {1});
   expect_same(small_ref, ones, "commit 1");
-  EXPECT_LE(ones.high_water, 1u + max);
+  EXPECT_LE(ones.high_water, bound(1));
 
   const Bytes large = stream_with_repeats(4u << 20, 1u << 20, 75);
   const Outcome large_ref = whole(ByteView(large));
@@ -174,18 +190,29 @@ TEST_P(StreamFeedTest, PrepareCommitMatchesWholeBuffer) {
         std::size_t{4u << 20}}) {
     const Outcome got = committed(ByteView(large), {piece});
     expect_same(large_ref, got, "commit " + std::to_string(piece));
-    EXPECT_LE(got.high_water, piece + max) << "commit " << piece;
+    EXPECT_LE(got.high_water, bound(piece)) << "commit " << piece;
   }
   // Rooms asked for with spare bytes: commit() takes only what it is told.
   expect_same(large_ref, committed(ByteView(large), {max + 1, 7}, 100),
               "commit with slack");
+  {
+    // A small commit, then the rest fed whole.
+    ParallelIngestor ingestor(params());
+    Outcome got;
+    ParallelIngestor::Stream s(ingestor, &got.recipe);
+    std::copy_n(large.begin(), 100, s.prepare(100));
+    s.commit(100);
+    s.feed(ByteView(large).subspan(100));
+    got.st = s.finish();
+    expect_same(large_ref, got, "commit then feed");
+  }
 
   // One 16 MiB piece, then the stream's last 123 bytes.
   const Bytes huge = stream_with_repeats(6u << 20, 4u << 20, 76);
   const Outcome huge_ref = whole(ByteView(huge));
   const Outcome one = committed(ByteView(huge), {16u << 20});
   expect_same(huge_ref, one, "commit 16 MiB");
-  EXPECT_LE(one.high_water, (16u << 20) + max);
+  EXPECT_LE(one.high_water, bound(16u << 20));
 }
 
 TEST_P(StreamFeedTest, PrepareWithoutCommitIngestsNothing) {
@@ -217,6 +244,104 @@ TEST_P(StreamFeedTest, EmptyFeedsAndEmptyStreamAreNoOps) {
   EXPECT_EQ(st.chunk_count, 0u);
   EXPECT_TRUE(recipe.entries().empty());
   EXPECT_EQ(ingestor.index().pending_claims(), 0u);
+}
+
+TEST_P(StreamFeedTest, FullPipelineOfRandomPiecesMatchesWholeBuffer) {
+  // Every core reads as idle, so each piece of at least kPieceBytes goes to
+  // the helper pool and the stream runs with all its buffers in flight.
+  // Random commits, from a few bytes to three pieces' worth, put far more
+  // pieces through the pipeline than it has buffers.
+  const chunk_prep_detail::PinSpareWidth all_idle(hardware_threads());
+  const Bytes stream = stream_with_repeats(
+      (hardware_threads() + 2) * kPieceBytes, 3 * kPieceBytes / 2, 79);
+  const Outcome ref = whole(ByteView(stream));
+  ASSERT_GT(ref.st.dup_bytes, 0u);
+  obs::Counter& slices =
+      obs::MetricsRegistry::global().counter("chunking.slices");
+  for (const std::uint64_t seed : {4u, 5u}) {
+    Xoshiro256 rng(seed);
+    std::vector<std::size_t> sizes(16);
+    for (std::size_t& n : sizes) {
+      n = rng.below(4) == 0 ? 1 + rng.below(params().chunker.max_size)
+                            : 1 + rng.below(3 * kPieceBytes);
+    }
+    const std::uint64_t before = slices.value();
+    const Outcome got = committed(ByteView(stream), sizes);
+    expect_same(ref, got, "pipeline seed " + std::to_string(seed));
+    EXPECT_LE(got.high_water,
+              bound(*std::max_element(sizes.begin(), sizes.end())));
+    if (hardware_threads() > 1) {
+      EXPECT_GT(slices.value() - before, hardware_threads())
+          << "pipeline seed " << seed;
+    }
+  }
+}
+
+TEST_P(StreamFeedTest, DestroyedMidPipelineLeavesNoClaimAndSealsContainers) {
+  const chunk_prep_detail::PinSpareWidth all_idle(hardware_threads());
+  ParallelIngestor ingestor(params());
+  const Bytes data =
+      testing::random_bytes((hardware_threads() + 1) * kPieceBytes, 80);
+  {
+    Recipe recipe;
+    ParallelIngestor::Stream s(ingestor, &recipe);
+    for (std::size_t off = 0; off < data.size(); off += kPieceBytes) {
+      std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(off),
+                  kPieceBytes, s.prepare(kPieceBytes));
+      s.commit(kPieceBytes);
+    }
+    // Destroyed with pieces queued or running, without finish().
+  }
+  EXPECT_EQ(ingestor.index().pending_claims(), 0u);
+  for (ContainerId id = 0; id < ingestor.store().container_count(); ++id) {
+    EXPECT_TRUE(ingestor.store().sealed_visible(id)) << "container " << id;
+  }
+  // The ingestor keeps serving: the same bytes ingest and restore whole.
+  Recipe recipe;
+  const StreamIngestStats st = ingestor.ingest_stream(ByteView(data), &recipe);
+  EXPECT_EQ(st.logical_bytes, data.size());
+  Bytes restored;
+  restore_with_strategy(ingestor.store(), recipe, ingestor.params().disk,
+                        RestoreOptions{}, &restored);
+  EXPECT_EQ(restored, data);
+}
+
+TEST(StreamPipelineTest, SeriesThroughCommitsMatchesIngestStreamLayout) {
+  // Twenty generations of one file system, each ingested whole into one
+  // ingestor and in frames through the pipeline into another: the recipes
+  // must agree entry for entry, container ids and offsets included.
+  const chunk_prep_detail::PinSpareWidth all_idle(hardware_threads());
+  workload::FsParams fs;
+  fs.initial_files = 24;
+  fs.mean_file_bytes = 256u << 10;
+  workload::SingleUserSeries series(1, fs);
+  ParallelIngestor whole_ingestor;
+  ParallelIngestor piped_ingestor;
+  const std::size_t frame = kPieceBytes + 4097;
+  for (int gen = 1; gen <= 20; ++gen) {
+    const workload::Backup backup = series.next();
+    const ByteView stream(backup.stream);
+    Recipe want;
+    whole_ingestor.ingest_stream(stream, &want);
+    Recipe got;
+    ParallelIngestor::Stream s(piped_ingestor, &got);
+    for (std::size_t off = 0; off < stream.size(); off += frame) {
+      const std::size_t n = std::min(frame, stream.size() - off);
+      std::copy_n(stream.begin() + static_cast<std::ptrdiff_t>(off), n,
+                  s.prepare(n));
+      s.commit(n);
+    }
+    s.finish();
+    ASSERT_EQ(got.entries().size(), want.entries().size()) << "gen " << gen;
+    for (std::size_t i = 0; i < want.entries().size(); ++i) {
+      ASSERT_EQ(got.entries()[i].fp, want.entries()[i].fp)
+          << "gen " << gen << ", entry " << i;
+      ASSERT_EQ(got.entries()[i].location, want.entries()[i].location)
+          << "gen " << gen << ", entry " << i;
+    }
+  }
+  EXPECT_EQ(piped_ingestor.store().container_count(),
+            whole_ingestor.store().container_count());
 }
 
 std::string param_name(const ::testing::TestParamInfo<ChunkerKind>& p) {

@@ -15,8 +15,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -26,6 +28,9 @@
 #include "common/bytes.h"
 #include "common/check.h"
 #include "common/failpoint.h"
+#include "core/parallel_ingest.h"
+#include "dedup/chunk_prep.h"
+#include "dedup/restore_strategies.h"
 #include "index/sharded_index.h"
 #include "obs/metrics.h"
 #include "service/client.h"
@@ -36,6 +41,7 @@
 #include "storage/container.h"
 #include "storage/container_store.h"
 #include "storage/disk_model.h"
+#include "storage/recipe.h"
 #include "testing/data.h"
 
 namespace defrag::service {
@@ -200,6 +206,59 @@ TEST_F(FaultInjectionTest, RecvFrameFaultIsTypedAndRetryable) {
   const std::optional<Bytes> got = receiver.recv_frame();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, payload);
+}
+
+TEST_F(FaultInjectionTest, StreamFaultWithPiecesInFlightLeavesStoreClean) {
+  // Every core reads as idle, so each committed piece goes to the helper
+  // pool. The failpoint is armed before the first commit and fires in the
+  // first piece's placement, which happens while a later piece is queued
+  // or running at the earliest; the stream is then destroyed unfinished.
+  const chunk_prep_detail::PinSpareWidth all_idle(hardware_threads());
+  for (const char* name : {"store.stream_append", "index.publish"}) {
+    SCOPED_TRACE(name);
+    ParallelIngestor ingestor;
+    const Bytes kept = testing::random_bytes(3 * kPieceBytes / 2, 9020);
+    Recipe kept_recipe;
+    ingestor.ingest_stream(ByteView(kept), &kept_recipe);
+
+    const Bytes doomed =
+        testing::random_bytes((hardware_threads() + 2) * kPieceBytes, 9021);
+    const std::uint64_t hits = failpoint::hit_count(name);
+    failpoint::arm(name, Action::kThrow);
+    {
+      Recipe recipe;
+      ParallelIngestor::Stream s(ingestor, &recipe);
+      EXPECT_THROW(
+          {
+            for (std::size_t off = 0; off < doomed.size();
+                 off += kPieceBytes) {
+              std::copy_n(doomed.begin() + static_cast<std::ptrdiff_t>(off),
+                          kPieceBytes, s.prepare(kPieceBytes));
+              s.commit(kPieceBytes);
+            }
+            s.finish();
+          },
+          FailpointError);
+    }
+    EXPECT_EQ(failpoint::hit_count(name), hits + 1);
+    EXPECT_EQ(ingestor.index().pending_claims(), 0u);
+    const ContainerStore& store = ingestor.store();
+    for (ContainerId id = 0; id < store.container_count(); ++id) {
+      EXPECT_TRUE(store.sealed_visible(id)) << "container " << id;
+    }
+    // Restorable: the earlier backup, and the doomed bytes backed up anew.
+    Bytes restored;
+    restore_with_strategy(store, kept_recipe, ingestor.params().disk,
+                          RestoreOptions{}, &restored);
+    EXPECT_EQ(restored, kept);
+    Recipe again;
+    ingestor.ingest_stream(ByteView(doomed), &again);
+    restored.clear();
+    restore_with_strategy(store, again, ingestor.params().disk,
+                          RestoreOptions{}, &restored);
+    EXPECT_EQ(restored, doomed);
+    EXPECT_EQ(ingestor.index().pending_claims(), 0u);
+  }
 }
 
 // ---- service-path injections: typed ERROR, session dies, daemon lives -----

@@ -26,6 +26,7 @@
 
 #include "common/bytes.h"
 #include "core/parallel_ingest.h"
+#include "dedup/chunk_prep.h"
 #include "obs/metrics.h"
 #include "service/protocol.h"
 #include "service/scheduler.h"
@@ -171,7 +172,7 @@ TEST_F(SessionStreamTest, StalledBackupNeverBlocksAnotherTenantsRestore) {
   EXPECT_EQ(ingestor_.index().pending_claims(), 0u);
 }
 
-TEST_F(SessionStreamTest, BufferHighWaterStaysWithinOneFramePlusMaxSize) {
+TEST_F(SessionStreamTest, BufferHighWaterStaysWithinPipelineBound) {
   // Spans three BACKUP_DATA and nine RESTORE_DATA frames.
   const Bytes data = testing::random_bytes(2 * kFrame + 12345, 5103);
   Conn& conn = open_session("bounded");
@@ -184,15 +185,17 @@ TEST_F(SessionStreamTest, BufferHighWaterStaysWithinOneFramePlusMaxSize) {
   want.push_back(12345);
   EXPECT_EQ(frames, want);
 
-  // Only the backup's stream buffer counts: one BACKUP_DATA body plus the
-  // carried tail. The restore sends from the containers.
+  // Only the backup's piece buffers count: at most hardware_threads() of
+  // them, each one BACKUP_DATA body behind a max_size prefix for the
+  // held-back tail. The restore sends from the containers.
   const double high_water =
       obs::MetricsRegistry::global()
           .gauge("service.session.buffer_high_water_bytes")
           .value();
   EXPECT_GE(high_water, static_cast<double>(kFrame));
+  const std::uint64_t max_size = ingestor_.params().chunker.max_size;
   EXPECT_LE(high_water,
-            static_cast<double>(kFrame + ingestor_.params().chunker.max_size));
+            static_cast<double>(hardware_threads() * (kFrame + max_size)));
 }
 
 TEST_F(SessionStreamTest, RestoreExtentsCountContainerRuns) {
