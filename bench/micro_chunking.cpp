@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <utility>
 #include <vector>
 
 #include "chunking/fixed.h"
@@ -272,25 +271,37 @@ double best_seconds(Fn&& fn) {
   return best;
 }
 
-/// Best wall times of `a` and `b`, in seconds, over `pairs` runs of each
-/// taken in alternation, so a slow spell on the host lands on both sides.
+/// `a` and `b` timed `pairs` times each, in alternation, so a slow spell on
+/// the host lands on both sides: the best wall time of each side, in
+/// seconds, and the median over the pairs of a's time / b's time. The
+/// median ratio is what a gate compares: one slow spell moves only the
+/// pairs it lands in.
+struct Interleaved {
+  double best_a = 1e100;
+  double best_b = 1e100;
+  double median_ratio = 0.0;
+};
+
 template <typename FnA, typename FnB>
-std::pair<double, double> best_seconds_interleaved(FnA&& a, FnB&& b,
-                                                   int pairs = 7) {
-  std::pair<double, double> best{1e100, 1e100};
+Interleaved time_interleaved(FnA&& a, FnB&& b, int pairs = 7) {
+  Interleaved out;
+  std::vector<double> ratios;
   for (int rep = 0; rep < pairs; ++rep) {
     auto t0 = BenchClock::now();
     a();
-    best.first = std::min(
-        best.first,
-        std::chrono::duration<double>(BenchClock::now() - t0).count());
+    const double ta =
+        std::chrono::duration<double>(BenchClock::now() - t0).count();
     t0 = BenchClock::now();
     b();
-    best.second = std::min(
-        best.second,
-        std::chrono::duration<double>(BenchClock::now() - t0).count());
+    const double tb =
+        std::chrono::duration<double>(BenchClock::now() - t0).count();
+    out.best_a = std::min(out.best_a, ta);
+    out.best_b = std::min(out.best_b, tb);
+    ratios.push_back(tb > 0 ? ta / tb : 0.0);
   }
-  return best;
+  std::nth_element(ratios.begin(), ratios.begin() + pairs / 2, ratios.end());
+  out.median_ratio = ratios[static_cast<std::size_t>(pairs / 2)];
+  return out;
 }
 
 double mb_per_s(std::size_t bytes, double seconds) {
@@ -314,7 +325,7 @@ void run_simd_checks() {
   const simd::GearScanFn active = simd::active_gear_scan();
   std::uint64_t h_active = 0;
   std::size_t b_active = 0;
-  const auto [t_gear_scalar, t_gear_active] = best_seconds_interleaved(
+  const Interleaved gear = time_interleaved(
       [&] {
         h_scalar = 0;
         b_scalar = simd::gear_scan_scalar(data.data(), 0, data.size(), mask,
@@ -341,12 +352,12 @@ void run_simd_checks() {
       if (p1 == simd::kNoBoundary) break;
     }
   }
-  const double gear_speedup =
-      t_gear_active > 0 ? t_gear_scalar / t_gear_active : 0.0;
+  // Scalar time over active time, the median of the per-pair ratios.
+  const double gear_speedup = gear.median_ratio;
   reg.gauge("system.bench.simd.gear_scalar_mb_s")
-      .set(mb_per_s(data.size(), t_gear_scalar));
+      .set(mb_per_s(data.size(), gear.best_a));
   reg.gauge("system.bench.simd.gear_active_mb_s")
-      .set(mb_per_s(data.size(), t_gear_active));
+      .set(mb_per_s(data.size(), gear.best_b));
   reg.gauge("bench.simd.gear_speedup").set(gear_speedup);
   // The exact gear recurrence is table-load bound: the honest gate is
   // "dispatch never ships a slower kernel", not a speedup floor
@@ -416,8 +427,8 @@ void run_simd_checks() {
               "sha1 %.0f->%.0f MB/s (%.2fx)  sha256 %.0f->%.0f MB/s (%.2fx)  "
               "identical=%d/%d\n",
               cpu::isa_level_name(detected),
-              mb_per_s(data.size(), t_gear_scalar),
-              mb_per_s(data.size(), t_gear_active), gear_speedup,
+              mb_per_s(data.size(), gear.best_a),
+              mb_per_s(data.size(), gear.best_b), gear_speedup,
               mb_per_s(batch_bytes, t_sha1_scalar),
               mb_per_s(batch_bytes, t_sha1_mb), sha1_speedup,
               mb_per_s(batch_bytes, t_sha256_scalar),

@@ -132,30 +132,13 @@ void ParallelIngestor::Stream::commit(std::size_t n) {
   if (n == 0) return;
   charge(n);
   open_->size += n;
-  if (open_->size >= kPieceBytes) {
-    // Hand the piece to a helper if a core is idle, counting the ones this
-    // stream's own jobs hold; otherwise run it here, as the last in line.
-    std::uint64_t own = 0;
-    for (const Slot* s : queued_) {
-      for (const std::shared_ptr<PieceJob>& job : s->jobs) {
-        own += job->running() ? 1u : 0u;
-      }
-    }
-    const bool post = hardware_threads() > 1 && spare_width() - 1 + own > 0;
-    enqueue(/*final=*/false, post);
-    if (!post) {
-      flush();
-      return;
-    }
-  }
+  if (open_->size >= kPieceBytes) enqueue(/*final=*/false);
   finish_ready();
 }
 
 void ParallelIngestor::Stream::flush() {
   DEFRAG_CHECK_MSG(!finished_, "flush() on a finished ingest stream");
-  if (open_ != nullptr && open_->size > 0) {
-    enqueue(/*final=*/false, /*post=*/false);
-  }
+  if (open_ != nullptr && open_->size > 0) enqueue(/*final=*/false);
   while (!queued_.empty()) finish_front();
 }
 
@@ -165,7 +148,7 @@ StreamIngestStats ParallelIngestor::Stream::finish() {
   for (;;) {
     if (queued_.empty()) {
       if (open_ == nullptr) break;
-      enqueue(/*final=*/true, /*post=*/false);
+      enqueue(/*final=*/true);
     }
     const bool last = queued_.front()->final;
     finish_front();
@@ -217,15 +200,13 @@ void ParallelIngestor::Stream::open(std::size_t n) {
   }
 }
 
-void ParallelIngestor::Stream::enqueue(bool final, bool post) {
+void ParallelIngestor::Stream::enqueue(bool final) {
   Slot& s = *open_;
   open_ = nullptr;
   const std::uint64_t end = seam_ + s.size;
   const ByteView buf(s.buf.get(), end);
-  const std::uint64_t width =
-      post ? std::clamp<std::uint64_t>(s.size / kPieceBytes, 1,
-                                       hardware_threads())
-           : 1;
+  const std::uint64_t width = std::clamp<std::uint64_t>(
+      s.size / kPieceBytes, 1, hardware_threads());
   const std::vector<std::uint64_t> starts =
       piece_starts(seam_, end, committed_, width, seam_);
   for (std::size_t k = 0; k < starts.size(); ++k) {
@@ -233,7 +214,7 @@ void ParallelIngestor::Stream::enqueue(bool final, bool post) {
         *ingestor_.chunker_, buf, starts[k],
         k + 1 < starts.size() ? starts[k + 1] : end,
         final && k + 1 == starts.size()));
-    if (post) PieceJob::post(s.jobs.back());
+    PieceJob::post(s.jobs.back());
   }
   s.final = final;
   committed_ += s.size;

@@ -32,13 +32,14 @@
 //    feed(): it reads straight into one of the stream's piece buffers, so
 //    the bytes are never copied before they are chunked.
 //    The stream is a bounded pipeline of pieces (dedup/chunk_prep.h). Once
-//    a piece buffer holds at least kPieceBytes, commit() hands the piece
-//    to the helper pool as PieceJobs of at least kPieceBytes each (one per
-//    kPieceBytes, at most hardware_threads()), which chunk and fingerprint
-//    their bytes from their own start, places the pieces already done and
-//    returns, so the session goes back to receiving. When no core is idle
-//    (spare_width(), crediting the cores this stream's own jobs hold) the
-//    piece runs inline instead, as one job. Pieces are
+//    a piece buffer holds at least kPieceBytes, commit() posts the piece
+//    to the idle-priority helper pool as PieceJobs of at least kPieceBytes
+//    each (one per kPieceBytes, at most hardware_threads()), which chunk
+//    and fingerprint their bytes from their own start, places the pieces
+//    already done and returns, so the session goes back to receiving.
+//    flush() and finish() post the last, shorter piece the same way. A job
+//    no helper has claimed when the caller needs it runs on the caller,
+//    so a busy machine degrades to inline chunking. Pieces are
 //    finished strictly in stream order on the caller's thread: the
 //    previous piece's held-back last chunk (at most max_size) is copied
 //    into the max_size prefix every piece buffer reserves, the stitch
@@ -180,10 +181,10 @@ class ParallelIngestor {
     /// Make open_ a buffer with room for `n` more bytes, waiting for the
     /// oldest piece when every buffer is in flight.
     void open(std::size_t n);
-    /// Commit open_ as the next piece. With `post` its bytes are cut into
-    /// up to hardware_threads() jobs of at least kPieceBytes each, handed
-    /// to the helper pool; otherwise one job waits for the caller.
-    void enqueue(bool final, bool post);
+    /// Commit open_ as the next piece: its bytes are cut into up to
+    /// hardware_threads() jobs of at least kPieceBytes each (one when
+    /// shorter), posted to the helper pool.
+    void enqueue(bool final);
     /// Finish the oldest piece: stitch, place, and move its held-back tail
     /// in front of the next piece.
     void finish_front();

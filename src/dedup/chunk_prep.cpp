@@ -1,11 +1,9 @@
 #include "dedup/chunk_prep.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <future>
 #include <memory>
 #include <thread>
@@ -17,6 +15,11 @@
 #include "common/sha_mb.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <unistd.h>
+#endif
 
 namespace defrag {
 
@@ -33,7 +36,17 @@ ThreadPool* helper_pool() {
   return pool;
 }
 
-std::atomic<std::uint64_t> pinned_spare_width{0};
+/// Drops the calling thread to the lowest CFS weight (nice 19), once per
+/// thread; on Linux PRIO_PROCESS with a thread id acts on that thread
+/// alone. A no-op elsewhere. Helpers then take only the cores that
+/// session, client and restore threads leave idle.
+void lower_helper_priority() {
+#if defined(__linux__)
+  thread_local const bool lowered =
+      ::setpriority(PRIO_PROCESS, static_cast<id_t>(::gettid()), 19) == 0;
+  (void)lowered;
+#endif
+}
 
 /// Settles every job still out when a whole-buffer call unwinds, so a
 /// failure is rethrown only after every piece joined.
@@ -58,20 +71,6 @@ class SettleOnUnwind {
 unsigned hardware_threads() {
   static const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   return hw;
-}
-
-std::uint64_t spare_width() {
-  if (const std::uint64_t w = pinned_spare_width.load()) return w;
-  std::ifstream loadavg("/proc/loadavg");
-  double avg1 = 0, avg5 = 0, avg15 = 0;
-  std::uint64_t runnable = 0;
-  char slash = 0;
-  if (!(loadavg >> avg1 >> avg5 >> avg15 >> runnable >> slash) ||
-      slash != '/') {
-    return 1;
-  }
-  const std::uint64_t hw = hardware_threads();
-  return 1 + (hw > runnable ? hw - runnable : 0);
 }
 
 std::vector<std::uint64_t> piece_starts(std::uint64_t from, std::uint64_t end,
@@ -123,6 +122,7 @@ void PieceJob::post(const std::shared_ptr<PieceJob>& job) {
   if (ThreadPool* pool = helper_pool()) {
     // The pool's future is dropped: the job reports through its own.
     (void)pool->submit([job] {
+      lower_helper_priority();
       if (job->claim()) job->task_();
     });
   }
@@ -138,7 +138,10 @@ bool PieceJob::done() const {
 }
 
 PieceJob::Chunks PieceJob::take() {
-  if (claim()) task_();  // a throw lands in result_
+  if (claim()) {
+    ran_here_ = true;
+    task_();  // a throw lands in result_
+  }
   return result_.get();
 }
 
@@ -166,6 +169,8 @@ std::vector<StreamChunk> finish_piece(const Chunker& chunker, ByteView base,
                      .count());
   }
   shard.counter("chunking.slices").add(job.posted() ? 1 : 0);
+  shard.counter("chunking.caller_jobs")
+      .add(job.posted() && job.ran_here() ? 1 : 0);
 
   // Walk the true chain from t. From the first boundary the piece's own
   // chain shares with it, adopt the rest of that chain; before it, chunk
@@ -267,22 +272,14 @@ std::vector<StreamChunk> chunk_and_fingerprint_sliced(
   return out;
 }
 
-PinSpareWidth::PinSpareWidth(std::uint64_t width) {
-  pinned_spare_width.store(width);
-}
-
-PinSpareWidth::~PinSpareWidth() noexcept { pinned_spare_width.store(0); }
-
 }  // namespace chunk_prep_detail
 
 std::vector<StreamChunk> chunk_and_fingerprint(const Chunker& chunker,
                                                ByteView data,
                                                bool hold_back_last) {
   const std::uint64_t n = data.size();
-  const std::uint64_t max_pieces =
-      hardware_threads() > 1 ? n / kPieceBytes : 0;
-  const std::uint64_t width =
-      max_pieces >= 2 ? std::min(max_pieces, spare_width()) : 1;
+  const std::uint64_t width = std::clamp<std::uint64_t>(
+      n / kPieceBytes, 1, hardware_threads());
   return chunk_prep_detail::chunk_and_fingerprint_sliced(
       chunker, data, hold_back_last,
       piece_starts(0, n, 0, width, chunker.max_chunk_size()));

@@ -9,29 +9,33 @@
 // not grow between enqueue and flush.
 //
 // Pieces. A stream is chunked as contiguous pieces, each by a PieceJob that
-// chunks and fingerprints the piece from its own start. A job runs on a
-// process-wide helper pool of hardware_threads() - 1 threads or on the
-// caller, whichever claims it first: the caller runs a job no helper has
-// started, so progress never depends on a free worker. The caller then
-// finishes the pieces strictly in stream order (finish_piece): every
-// chunker restarts its state at each chunk start, so a piece chunked from
-// its own start is exact from the first boundary it shares with the true
-// chain. The stitch starts at the previous piece's held-back last chunk,
-// which must lie just before the piece in memory, walks the true chain,
-// adopts the piece's own chunks from the shared boundary on, and chunks
-// and hashes only the few chunks before it itself. Only the piece's last
-// chunk is unknown (it ends at the piece end, not at a boundary): it is
-// held back for the next piece's stitch, or kept when the piece is final.
+// chunks and fingerprints the piece from its own start. Every piece is
+// posted to a process-wide helper pool of hardware_threads() - 1 threads,
+// which run at the lowest CPU priority (nice 19, set once per helper
+// thread on Linux), so they only soak the cores that session, client and
+// restore threads leave idle. Whichever claims a job first runs it, a
+// helper or the caller: the caller runs a job no helper has started, so
+// progress never depends on a free worker. The caller then finishes the
+// pieces strictly in stream order (finish_piece): every chunker restarts
+// its state at each chunk start, so a piece chunked from its own start is
+// exact from the first boundary it shares with the true chain. The stitch
+// starts at the previous piece's held-back last chunk, which must lie just
+// before the piece in memory, walks the true chain, adopts the piece's own
+// chunks from the shared boundary on, and chunks and hashes only the few
+// chunks before it itself. Only the piece's last chunk is unknown (it ends
+// at the piece end, not at a boundary): it is held back for the next
+// piece's stitch, or kept when the piece is final.
 //
-// A whole buffer (chunk_and_fingerprint) is cut into 1 + idle hardware
-// threads pieces of at least kPieceBytes each, observed at each call
-// (spare_width()); one piece runs on the caller alone. The pieces are
-// subspans of the buffer, so the held-back chunk already lies before the
-// next piece and nothing is copied. A Stream cuts its pieces where the
-// bytes arrive and copies the held-back chunk in front of the next one.
-// `chunking.slices`, `chunking.resync_bytes` and `ingest.piece_wait_us`
-// count the pieces handed to helpers, the bytes the stitch redid and how
-// long the caller waited for a piece handed out.
+// A whole buffer (chunk_and_fingerprint) is cut into
+// min(size / kPieceBytes, hardware_threads()) pieces, at least one; a
+// lone piece runs on the caller. The pieces are subspans of the buffer,
+// so the held-back chunk already lies before the next piece and nothing
+// is copied. A Stream cuts its pieces where the bytes arrive and copies the
+// held-back chunk in front of the next one. `chunking.slices`,
+// `chunking.caller_jobs`, `chunking.resync_bytes` and
+// `ingest.piece_wait_us` count the pieces posted, those of them the caller
+// ran itself, the bytes the stitch redid and how long the caller waited
+// for a posted piece.
 //
 // Thread safety: reentrant. The chunker is only read, and the metric
 // samples go through a local metrics shard merged into the global
@@ -57,12 +61,6 @@ inline constexpr std::uint64_t kPieceBytes = std::uint64_t{1} << 20;
 
 /// Hardware threads of this machine, at least 1.
 unsigned hardware_threads();
-
-/// Pieces worth running now: the caller plus one per hardware thread that
-/// nothing else is running on. The runnable count (the 4th field's
-/// numerator in /proc/loadavg) covers the whole machine, client threads
-/// and the caller included; 1 when it cannot be read.
-std::uint64_t spare_width();
 
 /// Chunk `data` and fingerprint every chunk, in stream order. With
 /// `hold_back_last` the final chunk is dropped unhashed: its end is only a
@@ -95,10 +93,14 @@ class PieceJob {
   PieceJob& operator=(const PieceJob&) = delete;
 
   /// Queue `job` on the helper pool (a no-op on a one-thread machine; the
-  /// caller then runs it in take()). Counted in `chunking.slices`.
+  /// caller then runs it in take()). Counted in `chunking.slices`. A
+  /// helper lowers its own priority to nice 19 before its first job.
   static void post(const std::shared_ptr<PieceJob>& job);
 
   bool posted() const { return posted_; }
+  /// take() ran the job itself: no helper had claimed it. Counted, for a
+  /// posted job, in `chunking.caller_jobs`.
+  bool ran_here() const { return ran_here_; }
   /// A helper is running it now.
   bool running() const;
   /// It has run; take() will not block.
@@ -125,6 +127,7 @@ class PieceJob {
   std::uint64_t from_;
   std::uint64_t end_;
   bool posted_ = false;
+  bool ran_here_ = false;
   std::atomic<bool> claimed_{false};
   std::packaged_task<Chunks()> task_;
   std::future<Chunks> result_;
@@ -149,15 +152,6 @@ namespace chunk_prep_detail {
 std::vector<StreamChunk> chunk_and_fingerprint_sliced(
     const Chunker& chunker, ByteView data, bool hold_back_last,
     std::span<const std::uint64_t> slice_starts);
-
-/// For tests: spare_width() reads `width` while alive (0 = the machine's).
-class PinSpareWidth {
- public:
-  explicit PinSpareWidth(std::uint64_t width);
-  ~PinSpareWidth() noexcept;
-  PinSpareWidth(const PinSpareWidth&) = delete;
-  PinSpareWidth& operator=(const PinSpareWidth&) = delete;
-};
 
 }  // namespace chunk_prep_detail
 

@@ -50,6 +50,7 @@ Server::Server(const ServerConfig& config)
   reg.histogram("service.request.shutdown_us");
   // Observed by the backup streams' piece pipeline (dedup/chunk_prep.h).
   reg.histogram("ingest.piece_wait_us");
+  reg.counter("chunking.caller_jobs");
 }
 
 Server::~Server() noexcept {

@@ -6,16 +6,25 @@
 // 4 MiB frame) and at seeded random splits. The same holds for pieces
 // written straight into the stream's buffers with prepare()/commit(),
 // including a pipeline kept full of pieces handed to the helper pool, and
-// for a 20-generation series, down to the container layout. The stream's
-// buffers stay within hardware_threads() x (max_size + the largest piece).
+// for a 20-generation series, down to the container layout, also while
+// every helper thread is held busy, so the caller runs each job itself.
+// Helpers run at nice 19 and leave the caller's priority alone. The
+// stream's buffers stay within hardware_threads() x (max_size + the
+// largest piece).
 // Boundaries depend on the dispatched gear kernel, so CI also runs this
 // suite with the scalar kernel forced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <latch>
+#include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "chunking/chunker.h"
@@ -29,6 +38,11 @@
 #include "storage/recipe.h"
 #include "testing/data.h"
 #include "workload/backup_series.h"
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <unistd.h>
+#endif
 
 namespace defrag {
 namespace {
@@ -247,11 +261,10 @@ TEST_P(StreamFeedTest, EmptyFeedsAndEmptyStreamAreNoOps) {
 }
 
 TEST_P(StreamFeedTest, FullPipelineOfRandomPiecesMatchesWholeBuffer) {
-  // Every core reads as idle, so each piece of at least kPieceBytes goes to
-  // the helper pool and the stream runs with all its buffers in flight.
-  // Random commits, from a few bytes to three pieces' worth, put far more
-  // pieces through the pipeline than it has buffers.
-  const chunk_prep_detail::PinSpareWidth all_idle(hardware_threads());
+  // Each piece of at least kPieceBytes goes to the helper pool and the
+  // stream runs with all its buffers in flight. Random commits, from a few
+  // bytes to three pieces' worth, put far more pieces through the pipeline
+  // than it has buffers.
   const Bytes stream = stream_with_repeats(
       (hardware_threads() + 2) * kPieceBytes, 3 * kPieceBytes / 2, 79);
   const Outcome ref = whole(ByteView(stream));
@@ -278,7 +291,6 @@ TEST_P(StreamFeedTest, FullPipelineOfRandomPiecesMatchesWholeBuffer) {
 }
 
 TEST_P(StreamFeedTest, DestroyedMidPipelineLeavesNoClaimAndSealsContainers) {
-  const chunk_prep_detail::PinSpareWidth all_idle(hardware_threads());
   ParallelIngestor ingestor(params());
   const Bytes data =
       testing::random_bytes((hardware_threads() + 1) * kPieceBytes, 80);
@@ -306,11 +318,11 @@ TEST_P(StreamFeedTest, DestroyedMidPipelineLeavesNoClaimAndSealsContainers) {
   EXPECT_EQ(restored, data);
 }
 
-TEST(StreamPipelineTest, SeriesThroughCommitsMatchesIngestStreamLayout) {
-  // Twenty generations of one file system, each ingested whole into one
-  // ingestor and in frames through the pipeline into another: the recipes
-  // must agree entry for entry, container ids and offsets included.
-  const chunk_prep_detail::PinSpareWidth all_idle(hardware_threads());
+/// Ingest `generations` generations of one file system whole into one
+/// ingestor and in 1 MiB + 4097 byte frames through the pipeline into
+/// another: the recipes must agree entry for entry, container ids and
+/// offsets included.
+void expect_piped_series_matches_whole(int generations) {
   workload::FsParams fs;
   fs.initial_files = 24;
   fs.mean_file_bytes = 256u << 10;
@@ -318,7 +330,7 @@ TEST(StreamPipelineTest, SeriesThroughCommitsMatchesIngestStreamLayout) {
   ParallelIngestor whole_ingestor;
   ParallelIngestor piped_ingestor;
   const std::size_t frame = kPieceBytes + 4097;
-  for (int gen = 1; gen <= 20; ++gen) {
+  for (int gen = 1; gen <= generations; ++gen) {
     const workload::Backup backup = series.next();
     const ByteView stream(backup.stream);
     Recipe want;
@@ -342,6 +354,128 @@ TEST(StreamPipelineTest, SeriesThroughCommitsMatchesIngestStreamLayout) {
   }
   EXPECT_EQ(piped_ingestor.store().container_count(),
             whole_ingestor.store().container_count());
+}
+
+TEST(StreamPipelineTest, SeriesThroughCommitsMatchesIngestStreamLayout) {
+  expect_piped_series_matches_whole(20);
+}
+
+/// Fixed 4 KiB chunks, cut only once the gate opens. Records the nice
+/// value of the thread that ran split_to (Linux only).
+class GatedChunker final : public Chunker {
+ public:
+  void split_to(ByteView data, const ChunkSink& sink) const override {
+#if defined(__linux__)
+    nice_seen.store(::getpriority(PRIO_PROCESS,
+                                  static_cast<id_t>(::gettid())));
+#endif
+    gate_.wait();
+    for (std::uint64_t off = 0; off < data.size(); off += kSize) {
+      const std::uint64_t len =
+          std::min<std::uint64_t>(kSize, data.size() - off);
+      sink(ChunkRef{off, static_cast<std::uint32_t>(len)});
+    }
+  }
+  std::string name() const override { return "gated"; }
+  std::uint32_t max_chunk_size() const override { return kSize; }
+
+  void open() const { gate_.count_down(); }
+
+  static constexpr std::uint64_t kSize = 4096;
+  mutable std::atomic<int> nice_seen{0};
+
+ private:
+  mutable std::latch gate_{1};
+};
+
+/// Jobs on a GatedChunker, posted to the helper pool. The destructor opens
+/// the gate and settles every job not taken, so no helper stays blocked
+/// past a failed assertion.
+class GatedJobs {
+ public:
+  GatedJobs(std::size_t count, ByteView bytes) {
+    for (std::size_t k = 0; k < count; ++k) {
+      jobs_.push_back(std::make_shared<PieceJob>(chunker_, bytes, 0,
+                                                 bytes.size(), true));
+      PieceJob::post(jobs_.back());
+    }
+  }
+  ~GatedJobs() {
+    open();
+    for (const std::shared_ptr<PieceJob>& job : jobs_) {
+      if (job != nullptr) job->settle(true);
+    }
+  }
+  GatedJobs(const GatedJobs&) = delete;
+  GatedJobs& operator=(const GatedJobs&) = delete;
+
+  /// Whether every job was claimed by a helper within a minute.
+  bool wait_all_running() const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::minutes(1);
+    for (const std::shared_ptr<PieceJob>& job : jobs_) {
+      while (!job->running()) {
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    return true;
+  }
+  void open() {
+    if (!opened_) chunker_.open();
+    opened_ = true;
+  }
+  const GatedChunker& chunker() const { return chunker_; }
+  /// Take job `k`; whether take() ran it on this thread.
+  bool take(std::size_t k, PieceJob::Chunks& out) {
+    const std::shared_ptr<PieceJob> job = std::move(jobs_[k]);
+    out = job->take();
+    return job->ran_here();
+  }
+
+ private:
+  GatedChunker chunker_;
+  std::vector<std::shared_ptr<PieceJob>> jobs_;
+  bool opened_ = false;
+};
+
+TEST(StreamPipelineTest, FinishesWhileEveryHelperIsBusy) {
+  // Every helper thread is held by a job that blocks until released, so
+  // each piece the pipeline posts must run on the caller, through take().
+  const Bytes held_bytes(64 << 10, 0);
+  GatedJobs held(hardware_threads() - 1, ByteView(held_bytes));
+  ASSERT_TRUE(held.wait_all_running());
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const std::uint64_t slices = registry.counter("chunking.slices").value();
+  const std::uint64_t caller =
+      registry.counter("chunking.caller_jobs").value();
+  expect_piped_series_matches_whole(4);
+  const std::uint64_t posted =
+      registry.counter("chunking.slices").value() - slices;
+  EXPECT_GT(posted, 0u);
+  EXPECT_EQ(registry.counter("chunking.caller_jobs").value() - caller,
+            hardware_threads() > 1 ? posted : 0u);
+}
+
+TEST(StreamPipelineTest, HelpersRunAtLowestPriorityAndTheCallerKeepsItsOwn) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "helper priority is set on Linux only";
+#else
+  if (hardware_threads() < 2) GTEST_SKIP() << "no helper threads";
+  const auto own_nice = [] {
+    return ::getpriority(PRIO_PROCESS, static_cast<id_t>(::gettid()));
+  };
+  const int before = own_nice();
+  const Bytes bytes(64 << 10, 0);
+  GatedJobs gated(1, ByteView(bytes));
+  ASSERT_TRUE(gated.wait_all_running());
+  gated.open();
+  PieceJob::Chunks got;
+  EXPECT_FALSE(gated.take(0, got));
+  EXPECT_EQ(got.chunks.size(), bytes.size() / GatedChunker::kSize);
+  EXPECT_EQ(gated.chunker().nice_seen.load(), 19);
+  EXPECT_EQ(own_nice(), before);
+#endif
 }
 
 std::string param_name(const ::testing::TestParamInfo<ChunkerKind>& p) {

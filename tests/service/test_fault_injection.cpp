@@ -209,11 +209,10 @@ TEST_F(FaultInjectionTest, RecvFrameFaultIsTypedAndRetryable) {
 }
 
 TEST_F(FaultInjectionTest, StreamFaultWithPiecesInFlightLeavesStoreClean) {
-  // Every core reads as idle, so each committed piece goes to the helper
-  // pool. The failpoint is armed before the first commit and fires in the
-  // first piece's placement, which happens while a later piece is queued
-  // or running at the earliest; the stream is then destroyed unfinished.
-  const chunk_prep_detail::PinSpareWidth all_idle(hardware_threads());
+  // Each committed piece goes to the helper pool. The failpoint is armed
+  // before the first commit and fires in the first piece's placement,
+  // which happens while a later piece is queued or running at the
+  // earliest; the stream is then destroyed unfinished.
   for (const char* name : {"store.stream_append", "index.publish"}) {
     SCOPED_TRACE(name);
     ParallelIngestor ingestor;
