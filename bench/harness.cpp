@@ -77,7 +77,6 @@ EngineConfig paper_engine_config() {
   // this is what makes SiLo *near*-exact rather than exact.
   cfg.silo_segments_per_block = 4;
   cfg.silo_block_cache_blocks = 2;
-  cfg.silo_probe_reps = 1;
   // Emulate a RAM-bounded similarity index: stale registrations resolve to
   // older blocks whose recipes lag the segment's churn (see engine.h).
   cfg.silo_index_sample_rate = 0.2;

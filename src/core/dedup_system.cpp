@@ -1,16 +1,20 @@
 #include "core/dedup_system.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "core/cbr_engine.h"
 #include "core/defrag_engine.h"
 #include "dedup/ddfs_engine.h"
 #include "dedup/engine.h"
+#include "dedup/restore_strategies.h"
 #include "dedup/silo_engine.h"
 #include "dedup/sparse_engine.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "storage/catalog.h"
+#include "storage/recipe.h"
 #include "workload/backup_series.h"
 
 namespace defrag {
@@ -63,12 +67,54 @@ BackupResult DedupSystem::ingest_backup(const workload::Backup& backup) {
 FileRestoreResult DedupSystem::restore_file(std::uint32_t generation,
                                             const std::string& path,
                                             Bytes* out) {
-  const auto entry = catalog_.get(generation).find(path);
-  DEFRAG_CHECK_MSG(entry.has_value(), "unknown file path in catalog");
-  return ::defrag::restore_file(engine_->container_store(),
-                                engine_->recipe_store().get(generation), *entry,
-                                engine_->config().disk, out,
-                                engine_->config().restore_cache_containers);
+  const auto file = catalog_.get(generation).find(path);
+  DEFRAG_CHECK_MSG(file.has_value(), "unknown file path in catalog");
+  const std::uint64_t file_begin = file->stream_offset;
+  const std::uint64_t file_end = file->stream_offset + file->size;
+
+  // The recipe entries overlapping the file's range. Files need not align
+  // with CDC boundaries, so the first and last chunk may stick out of it.
+  FileRestoreResult res;
+  Recipe span;
+  std::uint64_t span_begin = 0;  // stream offset of span's first chunk
+  std::uint64_t pos = 0;         // stream offset of the current chunk
+  for (const RecipeEntry& e :
+       engine_->recipe_store().get(generation).entries()) {
+    const std::uint64_t entry_begin = pos;
+    pos += e.location.size;
+    if (pos <= file_begin) continue;
+    if (entry_begin >= file_end) break;  // the recipe is in stream order
+    if (span.entries().empty()) span_begin = entry_begin;
+    span.add(e.fp, e.location);
+    res.file_bytes +=
+        std::min(pos, file_end) - std::max(entry_begin, file_begin);
+  }
+  DEFRAG_CHECK_MSG(res.file_bytes == file->size,
+                   "file restore byte accounting mismatch");
+
+  RestoreSink clip;
+  if (out != nullptr) {
+    out->reserve(out->size() + file->size);
+    clip = [out, file_begin, file_end,
+            chunk_begin = span_begin](ByteView chunk) mutable {
+      const std::uint64_t chunk_end = chunk_begin + chunk.size();
+      const auto skip = static_cast<std::ptrdiff_t>(
+          std::max(chunk_begin, file_begin) - chunk_begin);
+      const auto stop = static_cast<std::ptrdiff_t>(
+          std::min(chunk_end, file_end) - chunk_begin);
+      out->insert(out->end(), chunk.begin() + skip, chunk.begin() + stop);
+      chunk_begin = chunk_end;
+    };
+  }
+  RestoreOptions options;
+  options.strategy = RestoreStrategy::kContainerLru;
+  options.cache_containers = engine_->config().restore_cache_containers;
+  const RestoreResult r = restore_with_strategy(
+      engine_->container_store(), span, engine_->config().disk, options, clip);
+  res.container_loads = r.container_loads;
+  res.io = r.io;
+  res.sim_seconds = r.sim_seconds;
+  return res;
 }
 
 RestoreResult DedupSystem::restore(std::uint32_t generation) {

@@ -15,9 +15,18 @@
 
 #include "dedup/engine.h"
 #include "storage/catalog.h"
+#include "storage/disk_model.h"
 #include "workload/backup_series.h"
 
 namespace defrag {
+
+/// One file's restore, with its I/O charged to a fresh sim.
+struct FileRestoreResult {
+  std::uint64_t file_bytes = 0;
+  std::uint64_t container_loads = 0;  // = the file's fragment count, cold
+  IoStats io;
+  double sim_seconds = 0.0;
+};
 
 class DedupSystem {
  public:
@@ -33,10 +42,12 @@ class DedupSystem {
   /// restore_file() for this generation.
   BackupResult ingest_backup(const workload::Backup& backup);
 
-  /// Restore one file of a cataloged generation. Reads only the containers
-  /// overlapping the file's stream range — the single-file counterpart of
-  /// the paper's Fig. 1 arithmetic. Throws if the generation was ingested
-  /// without a file table or the path is unknown.
+  /// Restore one file of a cataloged generation. Walks only the recipe
+  /// entries overlapping the file's stream range, through the same
+  /// container-LRU restore as restore() — the single-file counterpart of
+  /// the paper's Fig. 1 arithmetic. Appends the file's bytes to `out` when
+  /// it is non-null. Throws if the generation was ingested without a file
+  /// table or the path is unknown.
   FileRestoreResult restore_file(std::uint32_t generation,
                                  const std::string& path,
                                  Bytes* out = nullptr);

@@ -53,11 +53,9 @@ struct EngineConfig {
   /// Restore-side container data cache (containers).
   std::size_t restore_cache_containers = 32;
 
-  /// SiLo: segments per block, block cache capacity (blocks), and how many
-  /// representative fingerprints are probed per incoming segment.
+  /// SiLo: segments per block and block cache capacity (blocks).
   std::size_t silo_segments_per_block = 8;
   std::size_t silo_block_cache_blocks = 16;
-  std::size_t silo_probe_reps = 1;
 
   /// SiLo: probability that a sealed block (re)registers a segment's
   /// representative in the RAM similarity index. 1.0 = every seal refreshes

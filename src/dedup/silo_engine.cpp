@@ -93,10 +93,10 @@ void SiloEngine::place(Generation& gen) {
     const SegmentId seg_id = allocate_segment_id();
     ++decisions_.segments;
 
-    // Similarity detection: probe the representative fingerprint(s) and load
-    // each distinct similar block not already cached.
+    // Similarity detection: probe the representative fingerprint and load
+    // the similar block if it is not already cached.
     const std::vector<Fingerprint> reps =
-        representative_sample(gen.chunks, seg, cfg_.silo_probe_reps);
+        representative_sample(gen.chunks, seg, 1);
     bool any_rep_hit = false;
     for (const Fingerprint& rep : reps) {
       const std::optional<BlockId> block = similarity_.find(rep);

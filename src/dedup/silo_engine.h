@@ -4,8 +4,8 @@
 // Chunks are grouped into segments and consecutive segments into blocks.
 // RAM holds only a similarity index (one representative fingerprint per
 // stored segment -> the block that holds it). An incoming segment probes its
-// representative(s); each distinct similar block found is loaded from disk
-// (one seek) into a block cache, and the segment's chunks dedup against the
+// representative; the similar block found is loaded from disk (one seek)
+// into a block cache, and the segment's chunks dedup against the
 // cached blocks only. Duplicates whose copies live in unprobed blocks are
 // *missed* and written again — that is the deduplication-efficiency loss the
 // paper measures in Figs. 3 and 5, and it grows as de-linearization spreads

@@ -1,10 +1,6 @@
 #include "storage/catalog.h"
 
 #include "common/check.h"
-#include "storage/container_store.h"
-#include "storage/disk_model.h"
-#include "storage/lru_cache.h"
-#include "storage/recipe.h"
 
 namespace defrag {
 
@@ -36,52 +32,6 @@ const GenerationCatalog& Catalog::get(std::uint32_t generation) const {
   auto it = generations_.find(generation);
   DEFRAG_CHECK_MSG(it != generations_.end(), "unknown catalog generation");
   return it->second;
-}
-
-FileRestoreResult restore_file(const ContainerStore& store,
-                               const Recipe& recipe, const CatalogEntry& file,
-                               const DiskModel& disk, Bytes* out,
-                               std::size_t cache_containers) {
-  FileRestoreResult res;
-  DiskSim sim(disk);
-  LruCache<ContainerId, char> cache(std::max<std::size_t>(1, cache_containers));
-
-  const std::uint64_t range_begin = file.stream_offset;
-  const std::uint64_t range_end = file.stream_offset + file.size;
-  if (out) out->reserve(out->size() + file.size);
-
-  std::uint64_t pos = 0;  // stream offset of the current recipe entry
-  for (const RecipeEntry& e : recipe.entries()) {
-    const std::uint64_t entry_begin = pos;
-    const std::uint64_t entry_end = pos + e.location.size;
-    pos = entry_end;
-    if (entry_end <= range_begin) continue;
-    if (entry_begin >= range_end) break;  // recipe is in stream order
-
-    if (cache.get(e.location.container) == nullptr) {
-      store.load(e.location.container, sim);
-      cache.put(e.location.container, 0);
-      ++res.container_loads;
-    }
-    // Clip the chunk to the file's range (files need not align with CDC
-    // boundaries).
-    const std::uint64_t copy_begin = std::max(entry_begin, range_begin);
-    const std::uint64_t copy_end = std::min(entry_end, range_end);
-    res.file_bytes += copy_end - copy_begin;
-    if (out) {
-      const ByteView chunk = store.peek(e.location.container).read(e.location);
-      const auto skip = static_cast<std::size_t>(copy_begin - entry_begin);
-      const auto len = static_cast<std::size_t>(copy_end - copy_begin);
-      out->insert(out->end(), chunk.begin() + static_cast<std::ptrdiff_t>(skip),
-                  chunk.begin() + static_cast<std::ptrdiff_t>(skip + len));
-    }
-  }
-  DEFRAG_CHECK_MSG(res.file_bytes == file.size,
-                   "file restore byte accounting mismatch");
-
-  res.io = sim.stats();
-  res.sim_seconds = sim.elapsed_seconds();
-  return res;
 }
 
 }  // namespace defrag

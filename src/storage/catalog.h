@@ -14,11 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/bytes.h"
-#include "storage/container_store.h"
-#include "storage/disk_model.h"
-#include "storage/recipe.h"
-
 namespace defrag {
 
 /// One file's placement within a generation's logical stream.
@@ -54,20 +49,5 @@ class Catalog {
  private:
   std::map<std::uint32_t, GenerationCatalog> generations_;
 };
-
-/// Restore one file: reads only the recipe entries overlapping the file's
-/// stream range (container-granularity, LRU-cached), charging I/O to a
-/// fresh sim. Returns the file's bytes when `out` is non-null.
-struct FileRestoreResult {
-  std::uint64_t file_bytes = 0;
-  std::uint64_t container_loads = 0;  // = the file's fragment count, cold
-  IoStats io;
-  double sim_seconds = 0.0;
-};
-
-FileRestoreResult restore_file(const ContainerStore& store,
-                               const Recipe& recipe, const CatalogEntry& file,
-                               const DiskModel& disk, Bytes* out,
-                               std::size_t cache_containers = 8);
 
 }  // namespace defrag

@@ -1,11 +1,10 @@
-// Property sweep for the codecs: round-trip exactness over a grid of sizes,
-// seeds, and content classes. These are the fuzz-adjacent cases a release
-// must survive.
+// Property sweep for the LZSS codec: round-trip exactness over a grid of
+// sizes, seeds, and content classes. These are the fuzz-adjacent cases a
+// release must survive.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
-#include "compress/delta.h"
 #include "compress/lzss.h"
 #include "testing/data.h"
 #include "workload/content.h"
@@ -59,19 +58,6 @@ class CodecPropertyTest : public ::testing::TestWithParam<Param> {
 TEST_P(CodecPropertyTest, LzssRoundTrips) {
   const Bytes input = data();
   EXPECT_EQ(Lzss::decompress(Lzss::compress(input)), input);
-}
-
-TEST_P(CodecPropertyTest, DeltaSelfRoundTrips) {
-  const Bytes input = data();
-  EXPECT_EQ(Delta::decode(input, Delta::encode(input, input)), input);
-}
-
-TEST_P(CodecPropertyTest, DeltaAgainstEditedBaseRoundTrips) {
-  const Bytes base = data();
-  Bytes target = base;
-  // Sprinkle edits proportional to size.
-  for (std::size_t i = 0; i < target.size(); i += 997) target[i] ^= 0x3c;
-  EXPECT_EQ(Delta::decode(base, Delta::encode(base, target)), target);
 }
 
 INSTANTIATE_TEST_SUITE_P(

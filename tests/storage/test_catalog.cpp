@@ -94,6 +94,25 @@ TEST_F(FileRestoreTest, FileRestoreCheaperThanFullRestore) {
   EXPECT_LE(file_r.container_loads, full_r.container_loads);
 }
 
+TEST_F(FileRestoreTest, WholeStreamFileCostsTheSameAsFullRestore) {
+  // A file spanning the whole stream walks the whole recipe through the
+  // same restore path as restore(), so it pays the same loads and time.
+  DedupSystem sys(EngineKind::kDefrag, testing::small_engine_config());
+  for (workload::Backup backup : backups_) {
+    backup.files = {workload::BackupFile{"/whole", 0, backup.stream.size()}};
+    sys.ingest_backup(backup);
+  }
+  for (const auto& backup : backups_) {
+    Bytes out;
+    const FileRestoreResult file_r =
+        sys.restore_file(backup.generation, "/whole", &out);
+    const RestoreResult full_r = sys.restore(backup.generation);
+    EXPECT_EQ(file_r.container_loads, full_r.container_loads);
+    EXPECT_DOUBLE_EQ(file_r.sim_seconds, full_r.sim_seconds);
+    EXPECT_TRUE(out == backup.stream) << "gen " << backup.generation;
+  }
+}
+
 TEST_F(FileRestoreTest, UnknownPathRejected) {
   EXPECT_THROW(sys_.restore_file(1, "/no/such/file", nullptr), CheckFailure);
 }
